@@ -2,9 +2,13 @@
 
 GO ?= go
 
-.PHONY: check vet doclint build test race bench bench-micro bench-compare bench-regress bench-regress-rebase benchsuite benchsuite-smoke benchsuite-report fuzz-smoke fuzz-diff fuzz-diff-smoke serve-smoke telemetry-smoke chaos-smoke
+.PHONY: check fmtcheck vet doclint build test race bench bench-micro bench-compare bench-regress bench-regress-rebase benchsuite benchsuite-smoke benchsuite-report fuzz-smoke fuzz-diff fuzz-diff-smoke serve-smoke telemetry-smoke chaos-smoke
 
-check: vet doclint build race
+check: fmtcheck vet doclint build race
+
+# Formatting gate: fails listing every file gofmt would rewrite.
+fmtcheck:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

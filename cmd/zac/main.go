@@ -27,7 +27,6 @@ import (
 	"zac/internal/compiler"
 	"zac/internal/core"
 	"zac/internal/qasm"
-	"zac/internal/resynth"
 	"zac/internal/telemetry"
 	"zac/internal/trace"
 	"zac/internal/workload"
@@ -114,15 +113,6 @@ func main() {
 		a = arch.WithAODs(a, *aods)
 	}
 
-	staged, err := resynth.Preprocess(c)
-	if err != nil {
-		fatal(err)
-	}
-	// The registry-wide shaping rule: ZAC-family compilers consume the
-	// unsplit staging so -out stays byte-identical across releases;
-	// baselines split to the reference capacity, matching zac-bench.
-	staged = circuit.SplitRydbergStages(staged, compiler.StageSplitCap(comp))
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	// With -telemetry the compile runs under a span trace (the same
@@ -134,7 +124,12 @@ func main() {
 		recorder = telemetry.NewRecorder(1)
 		ctx, rootSpan = recorder.StartTrace(ctx, "zac.compile")
 	}
-	res, err := comp.Compile(ctx, staged, a, compiler.Options{SARestarts: *saRestarts, Workers: *workers})
+	res, err := compiler.Request{
+		Compiler: comp,
+		Arch:     a,
+		Build:    func() (*circuit.Circuit, error) { return c, nil },
+		Options:  compiler.Options{SARestarts: *saRestarts, Workers: *workers},
+	}.Compile(ctx)
 	rootSpan.End()
 	if err != nil {
 		fatal(err)

@@ -32,11 +32,11 @@ import (
 
 	"zac/internal/arch"
 	"zac/internal/bench"
+	"zac/internal/circuit"
 	"zac/internal/compiler"
 	"zac/internal/core"
 	"zac/internal/engine"
 	"zac/internal/fidelity"
-	"zac/internal/resynth"
 	"zac/internal/zair"
 )
 
@@ -127,11 +127,11 @@ func runSelfcheck(benchName, compilerName string, a *arch.Architecture) (string,
 	if err != nil {
 		return "", err
 	}
-	staged, err := resynth.Preprocess(b.Build())
-	if err != nil {
-		return "", err
-	}
-	res, err := comp.Compile(context.Background(), staged, a, compiler.Options{})
+	res, err := compiler.Request{
+		Compiler: comp,
+		Arch:     a,
+		Build:    func() (*circuit.Circuit, error) { return b.Build(), nil },
+	}.Compile(context.Background())
 	if err != nil {
 		return "", err
 	}

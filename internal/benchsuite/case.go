@@ -271,19 +271,9 @@ func Compile(specs, compilers, archs []string) ([]Case, error) {
 					InnerIters: 1,
 					passes:     func() []core.PassTiming { return lastPasses },
 					setup: func() (func(context.Context) error, error) {
-						c, err := parsed.Generate()
+						staged, err := compiler.Request{Compiler: comp, Arch: target, Build: parsed.Generate}.Prepare()
 						if err != nil {
-							return nil, err
-						}
-						staged, err := resynth.Preprocess(c)
-						if err != nil {
-							return nil, err
-						}
-						if cap := compiler.StageSplitCap(comp); cap > 0 {
-							staged = circuit.SplitRydbergStages(staged, cap)
-						}
-						if err := staged.Validate(); err != nil {
-							return nil, fmt.Errorf("%s: split staging invalid: %w", canon, err)
+							return nil, fmt.Errorf("%s: %w", canon, err)
 						}
 						return func(ctx context.Context) error {
 							r, err := comp.Compile(ctx, staged, target, compiler.Options{})

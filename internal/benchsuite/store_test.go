@@ -146,7 +146,7 @@ func TestStoreExportBenchJSON(t *testing.T) {
 	withAllocs.AllocsPerOp = []float64{3, 3, 3}
 	if err := s.Append([]Record{
 		withAllocs,
-		rec("m1", "c9", "micro/buildplan/qft_n18", 1, 5000, 5100, 5050), // schema-1 style: no alloc vectors
+		rec("m1", "c9", "micro/buildplan/qft_n18", 1, 5000, 5100, 5050),      // schema-1 style: no alloc vectors
 		rec("m1", "c9", "compile/zac/default/rb:n=8,depth=4,seed=1", 1, 900), // not exported
 	}); err != nil {
 		t.Fatal(err)

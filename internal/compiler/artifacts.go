@@ -37,15 +37,20 @@ func (ar *Artifacts) Stats() engine.TieredStats {
 
 // Staged memoizes circuit preprocessing. build must return the
 // resynthesized, ASAP-staged circuit; oversized Rydberg stages are then
-// split to splitSites when positive. Every compiler asking for the same
-// (key, splitSites) shares one staged instance — compilers only read it.
+// split to splitSites when positive and the result validated. Every
+// compiler asking for the same (key, splitSites) shares one staged
+// instance — compilers only read it.
 func (ar *Artifacts) Staged(key string, splitSites int, build func() (*circuit.Staged, error)) (*circuit.Staged, error) {
 	compute := func() (*circuit.Staged, error) {
 		staged, err := build()
 		if err != nil {
 			return nil, err
 		}
-		return circuit.SplitRydbergStages(staged, splitSites), nil
+		staged = circuit.SplitRydbergStages(staged, splitSites)
+		if err := staged.Validate(); err != nil {
+			return nil, fmt.Errorf("staged circuit invalid: %w", err)
+		}
+		return staged, nil
 	}
 	if ar == nil || ar.cache == nil || key == "" {
 		return compute()

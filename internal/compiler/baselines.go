@@ -35,10 +35,6 @@ func (b *baselineCompiler) Name() string { return b.name }
 // supplies none (the paper's evaluation setup for that baseline).
 func (b *baselineCompiler) DefaultArch() *arch.Architecture { return b.defaultArch() }
 
-// SplitStages reports whether the baseline's staged input should be split
-// to Rydberg-site capacity.
-func (b *baselineCompiler) SplitStages() bool { return b.splitStages }
-
 // Compile validates the inputs, runs the evaluation model, and assembles a
 // core.Result with a "validate" and a "compile" pass timing. The analytic
 // models run in one shot, so the context is only checked between the two

@@ -2,12 +2,13 @@
 // interface over ZAC's ablation presets (paper Fig. 11), the published
 // neutral-atom baselines (Enola, Atomique, NALAC — §VII-A), and the
 // superconducting SABRE router, a process-wide registry that resolves them
-// by name, and a pass-granular artifact cache so preprocessing and
-// placement artifacts are computed once and shared across compilers. The
-// experiment harness, the zac-serve HTTP service, and every CLI route their
-// compilations through this package, so a new backend registered here is
+// by name, a pass-granular artifact cache so preprocessing and placement
+// artifacts are computed once and shared across compilers, and Request, the
+// one path from a raw circuit to a prepared, keyed compile. The experiment
+// harness, the zac-serve HTTP service, and every CLI route their
+// compilations through Request, so a new backend registered here is
 // immediately selectable everywhere (`zac -compiler`, `zac-bench
-// -compiler`, `zac-serve ?compiler=`).
+// -compiler`, `zac-serve ?compiler=`) and shaped and keyed the same way.
 package compiler
 
 import (
@@ -26,9 +27,10 @@ import (
 // value compiles with the compiler's preset configuration and no artifact
 // sharing.
 type Options struct {
-	// Key identifies the input circuit for pass-granular memoization — a
-	// benchmark name or a content digest. Empty disables artifact sharing
-	// even when Artifacts is set.
+	// Key identifies the input circuit — a benchmark name, a canonical
+	// workload spec, or a content digest. It keys pass-granular
+	// memoization and names the circuit in Request.Key. Empty disables
+	// artifact sharing even when Artifacts is set.
 	Key string
 	// Artifacts is the pass-artifact cache shared across compilers; nil
 	// disables memoization.
@@ -38,12 +40,12 @@ type Options struct {
 	Core *core.Options
 	// SARestarts, when positive, overrides the preset's annealing restart
 	// count for ZAC-family compilers (place.Options.SARestarts). Values > 1
-	// change the produced plan, so callers owning cache keys must reflect
-	// it. Baseline compilers ignore it.
+	// change the produced plan, so Request.Key reflects them. Baseline
+	// compilers ignore it.
 	SARestarts int
 	// Workers, when positive, bounds one compilation's intra-compile
 	// parallelism for ZAC-family compilers (place.Options.Workers). It never
-	// changes outputs and must stay out of cache keys. Baseline compilers
+	// changes outputs, so Request.Key leaves it out. Baseline compilers
 	// ignore it.
 	Workers int
 }
@@ -67,13 +69,6 @@ type DefaultArcher interface {
 	DefaultArch() *arch.Architecture
 }
 
-// StageSplitter is implemented by compilers whose staged input should be
-// split to Rydberg-site capacity before compilation. The SC routers consume
-// the flat staging and return false.
-type StageSplitter interface {
-	SplitStages() bool
-}
-
 // TargetArch returns the architecture a registry compiler compiles for when
 // the caller expresses no preference: the compiler's DefaultArch if it
 // declares one, else the paper's reference architecture.
@@ -84,34 +79,14 @@ func TargetArch(c Compiler) *arch.Architecture {
 	return arch.Reference()
 }
 
-// WantsSplit reports whether a registry compiler's staged input should be
-// split to site capacity (true for every compiler that does not opt out via
-// StageSplitter).
-func WantsSplit(c Compiler) bool {
-	if ss, ok := c.(StageSplitter); ok {
-		return ss.SplitStages()
-	}
-	return true
-}
-
-// StageSplitCap returns the Rydberg-stage gate cap a compiler's staged
-// input is split to — the single shaping rule every surface (CLI, serve,
-// harness) shares so the same compiler name yields the same numbers
-// everywhere. Baselines split to the zoned reference architecture's site
-// capacity, the paper's evaluation shaping; SC routers consume flat
-// staging (0 = no split); the ZAC family returns 0 here because its CLI
-// and service surfaces keep unsplit staging for byte-stable ZAIR (the
-// experiment harness splits ZAC input itself, sharing one staged artifact
-// across all neutral-atom columns).
-func StageSplitCap(c Compiler) int {
-	if _, zacFamily := Setting(c.Name()); zacFamily {
-		return 0
-	}
-	if !WantsSplit(c) {
-		return 0
-	}
-	return arch.Reference().TotalSites()
-}
+// StageSplitCap returns the Rydberg-stage gate cap a registry compiler's
+// staged input is split to when it compiles for TargetArch(c): the
+// stage-shaping rule Request.Prepare applies, evaluated at the compiler's
+// default target. ZAC-family compilers and the neutral-atom baselines both
+// get the zoned reference capacity (the baselines at any target, the ZAC
+// family because the reference is its target); the SC routers get 0, flat
+// staging.
+func StageSplitCap(c Compiler) int { return splitSites(c, TargetArch(c)) }
 
 var (
 	regMu    sync.RWMutex

@@ -19,20 +19,17 @@ import (
 // internal/core/determinism_test.go).
 var conformanceSubset = []string{"bv_n14", "ghz_n23", "ising_n42", "qft_n18", "wstate_n27"}
 
-// stagedFor shapes a benchmark's input the way the evaluation harness does:
-// split to the zoned reference capacity for splitters, flat for the rest.
+// stagedFor shapes a benchmark's input through the registry's one
+// preparation path, for the compiler's default target.
 func stagedFor(t *testing.T, c Compiler, name string) *circuit.Staged {
 	t.Helper()
 	b, err := bench.ByName(name)
 	if err != nil {
 		t.Fatal(err)
 	}
-	staged, err := resynth.Preprocess(b.Build())
+	staged, err := Request{Compiler: c, Build: func() (*circuit.Circuit, error) { return b.Build(), nil }}.Prepare()
 	if err != nil {
 		t.Fatal(err)
-	}
-	if WantsSplit(c) {
-		staged = circuit.SplitRydbergStages(staged, arch.Reference().TotalSites())
 	}
 	return staged
 }

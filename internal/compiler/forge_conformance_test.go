@@ -16,26 +16,8 @@ import (
 	"zac/internal/compiler"
 	"zac/internal/core"
 	"zac/internal/engine"
-	"zac/internal/resynth"
 	"zac/internal/workload"
 )
-
-// forgeStagedFor shapes a generated circuit for a registry compiler under
-// the shared shaping rule (preprocess, split to the compiler's stage cap).
-func forgeStagedFor(t *testing.T, comp compiler.Compiler, c *circuit.Circuit) *circuit.Staged {
-	t.Helper()
-	staged, err := resynth.Preprocess(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if splitCap := compiler.StageSplitCap(comp); splitCap > 0 {
-		staged = circuit.SplitRydbergStages(staged, splitCap)
-	}
-	if err := staged.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	return staged
-}
 
 // forgeResultHash digests the observable output of a compilation, the same
 // shape the internal conformance test and the difftest oracle hash.
@@ -69,7 +51,6 @@ func TestForgeConformance(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			target := compiler.TargetArch(comp)
 			for _, spec := range specs {
 				parsed, err := workload.Parse(spec)
 				if err != nil {
@@ -82,10 +63,12 @@ func TestForgeConformance(t *testing.T) {
 				key := parsed.Canonical()
 				hashes := make([]string, 2)
 				for run := 0; run < 2; run++ {
-					arts := compiler.NewArtifacts(engine.NewTiered(0))
-					staged := forgeStagedFor(t, comp, c)
-					r, err := comp.Compile(context.Background(), staged, target,
-						compiler.Options{Key: key, Artifacts: arts})
+					req := compiler.Request{
+						Compiler: comp,
+						Build:    func() (*circuit.Circuit, error) { return c, nil },
+						Options:  compiler.Options{Key: key, Artifacts: compiler.NewArtifacts(engine.NewTiered(0))},
+					}
+					r, err := req.Compile(context.Background())
 					if err != nil {
 						t.Fatalf("%s run %d: %v", spec, run, err)
 					}

@@ -61,35 +61,52 @@ func TestStageSplitCapWiderThanReference(t *testing.T) {
 	}
 }
 
-// TestStageSplitCapZACUnsplit pins the other side of the shaping rule: the
-// ZAC family consumes unsplit staging (cap 0) so CLI/serve ZAIR stays
-// byte-stable.
-func TestStageSplitCapZACUnsplit(t *testing.T) {
-	for _, name := range []string{"zac", "zac-vanilla", "zac-dynplace", "zac-dynplace-reuse"} {
+// TestStageSplitRule pins the registry's stage-shaping rule. At each
+// compiler's default target the ZAC family and the neutral-atom baselines
+// split to the zoned reference capacity and the SC routers keep flat
+// staging. Off the default target the ZAC family follows the target's own
+// site count, while the baselines keep the reference capacity.
+func TestStageSplitRule(t *testing.T) {
+	ref := arch.Reference().TotalSites()
+	for name, want := range map[string]int{
+		"zac": ref, "zac-vanilla": ref, "zac-dynplace": ref, "zac-dynplace-reuse": ref, "zac-advreuse": ref,
+		"enola": ref, "atomique": ref, "nalac": ref,
+		"sc-heron": 0, "sc-grid": 0,
+	} {
 		c, err := compiler.Get(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := compiler.StageSplitCap(c); got != 0 {
-			t.Errorf("%s: StageSplitCap = %d, want 0", name, got)
-		}
-	}
-	for _, name := range []string{"sc-heron", "sc-grid"} {
-		c, err := compiler.Get(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := compiler.StageSplitCap(c); got != 0 {
-			t.Errorf("%s: StageSplitCap = %d, want 0 (flat staging)", name, got)
-		}
-	}
-	for _, name := range []string{"enola", "atomique", "nalac"} {
-		c, err := compiler.Get(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := compiler.StageSplitCap(c), arch.Reference().TotalSites(); got != want {
+		if got := compiler.StageSplitCap(c); got != want {
 			t.Errorf("%s: StageSplitCap = %d, want %d", name, got, want)
+		}
+	}
+
+	small := arch.Arch1Small()
+	if small.TotalSites() >= ref {
+		t.Fatalf("Arch1Small has %d sites, want fewer than the reference's %d", small.TotalSites(), ref)
+	}
+	// shuffle:n=2(ref+9) packs ref+9 parallel CZs into one Rydberg stage.
+	build := func() (*circuit.Circuit, error) {
+		return workload.Build("shuffle:n=" + strconv.Itoa(2*(ref+9)) + ",depth=2,seed=3")
+	}
+	for name, want := range map[string]int{"zac": small.TotalSites(), "nalac": ref, "sc-grid": ref + 9} {
+		c, err := compiler.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		staged, err := compiler.Request{Compiler: c, Arch: small, Build: build}.Prepare()
+		if err != nil {
+			t.Fatal(err)
+		}
+		widest := 0
+		for _, st := range staged.Stages {
+			if st.Kind == circuit.RydbergStage && len(st.Gates) > widest {
+				widest = len(st.Gates)
+			}
+		}
+		if widest != want {
+			t.Errorf("%s on %s: widest Rydberg stage holds %d gates, want %d", name, small.Name, widest, want)
 		}
 	}
 }

@@ -22,6 +22,18 @@ func (z *zacCompiler) Name() string { return z.name }
 // caller's override), memoizing the placement artifact in opts.Artifacts so
 // repeated compilations of the same circuit share one plan.
 func (z *zacCompiler) Compile(ctx context.Context, staged *circuit.Staged, a *arch.Architecture, opts Options) (*core.Result, error) {
+	co := z.options(opts)
+	var hooks core.Hooks
+	if opts.Artifacts != nil && opts.Key != "" {
+		hooks.MemoPlan = opts.Artifacts.memoPlan(opts.Key, a, co.Place)
+	}
+	return core.Standard().Run(ctx, staged, a, co, hooks)
+}
+
+// options resolves the pipeline configuration one compilation runs under:
+// the preset (or the caller's Core override) with the SARestarts and Workers
+// overrides applied.
+func (z *zacCompiler) options(opts Options) core.Options {
 	co := core.OptionsFor(z.setting)
 	if opts.Core != nil {
 		co = *opts.Core
@@ -32,11 +44,7 @@ func (z *zacCompiler) Compile(ctx context.Context, staged *circuit.Staged, a *ar
 	if opts.Workers > 0 {
 		co.Place.Workers = opts.Workers
 	}
-	var hooks core.Hooks
-	if opts.Artifacts != nil && opts.Key != "" {
-		hooks.MemoPlan = opts.Artifacts.memoPlan(opts.Key, a, co.Place)
-	}
-	return core.Standard().Run(ctx, staged, a, co, hooks)
+	return co
 }
 
 // Setting returns the core ablation preset a zac-family registry name maps

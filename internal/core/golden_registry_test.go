@@ -15,11 +15,11 @@ import (
 
 	"zac/internal/arch"
 	"zac/internal/bench"
+	"zac/internal/circuit"
 	"zac/internal/compiler"
 	"zac/internal/core"
 	"zac/internal/engine"
 	"zac/internal/place"
-	"zac/internal/resynth"
 )
 
 func goldenHashes(t *testing.T) map[string]string {
@@ -45,11 +45,12 @@ func sha(t *testing.T, v any) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// TestRegistryMatchesGolden compiles the golden corpus through the
-// registry's zac compiler — with pass-artifact memoization active, the
-// exact serve/harness configuration — and checks plan and ZAIR hashes
-// against the same golden file TestGoldenDeterminism pins, so the registry
-// seam provably cannot drift from the direct core entry point.
+// TestRegistryMatchesGolden compiles the golden corpus through a
+// compiler.Request for the registry's zac compiler — with pass-artifact
+// memoization active, the exact serve/harness configuration — and checks
+// plan and ZAIR hashes against the same golden file TestGoldenDeterminism
+// pins, so the registry seam provably cannot drift from the direct core
+// entry point.
 func TestRegistryMatchesGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden corpus compiles the five-circuit subset; skipped in -short")
@@ -66,11 +67,12 @@ func TestRegistryMatchesGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		staged, err := resynth.Preprocess(bm.Build())
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := zc.Compile(context.Background(), staged, a, compiler.Options{Key: name, Artifacts: arts})
+		res, err := compiler.Request{
+			Compiler: zc,
+			Arch:     a,
+			Build:    func() (*circuit.Circuit, error) { return bm.Build(), nil },
+			Options:  compiler.Options{Key: name, Artifacts: arts},
+		}.Compile(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,7 +11,6 @@ import (
 	"zac/internal/circuit"
 	"zac/internal/compiler"
 	"zac/internal/qasm"
-	"zac/internal/resynth"
 	"zac/internal/workload"
 	"zac/internal/zair"
 )
@@ -160,21 +159,17 @@ type compileResult struct {
 	resolve     zair.PosResolver
 }
 
-// compileOnce shapes the circuit the way every surface does (preprocess,
-// split to the compiler's stage cap) and compiles it, containing panics —
-// the compilers are being fed adversarial inputs.
+// compileOnce compiles the circuit through compiler.Request, the path every
+// surface takes, containing panics — the compilers are being fed
+// adversarial inputs.
 func (o *Oracle) compileOnce(ctx context.Context, comp compiler.Compiler, c *circuit.Circuit) (out outcome) {
 	defer func() {
 		if r := recover(); r != nil {
 			out = outcome{err: fmt.Errorf("compile panicked: %v", r)}
 		}
 	}()
-	staged, err := preprocessFor(comp, c)
-	if err != nil {
-		return outcome{err: err}
-	}
-	a := compiler.TargetArch(comp)
-	res, err := comp.Compile(ctx, staged, a, compiler.Options{})
+	req := compiler.Request{Compiler: comp, Build: func() (*circuit.Circuit, error) { return c, nil }}
+	res, err := req.Compile(ctx)
 	if err != nil {
 		return outcome{err: err}
 	}
@@ -190,7 +185,7 @@ func (o *Oracle) compileOnce(ctx context.Context, comp compiler.Compiler, c *cir
 		totalMoves:  res.TotalMoves,
 		reusedGates: res.ReusedGates,
 		stages:      res.NumRydbergStages,
-		resolve:     a.ResolveTrap,
+		resolve:     req.Target().ResolveTrap,
 	}
 	data, err := json.Marshal(struct {
 		Program any
@@ -202,22 +197,6 @@ func (o *Oracle) compileOnce(ctx context.Context, comp compiler.Compiler, c *cir
 	}
 	sum := sha256.Sum256(data)
 	return outcome{res: cr, hash: hex.EncodeToString(sum[:])}
-}
-
-// preprocessFor shapes a raw circuit for one compiler under the
-// registry-wide shaping rule (same as the CLI, serve, and harness).
-func preprocessFor(comp compiler.Compiler, c *circuit.Circuit) (*circuit.Staged, error) {
-	staged, err := resynth.Preprocess(c)
-	if err != nil {
-		return nil, err
-	}
-	if splitCap := compiler.StageSplitCap(comp); splitCap > 0 {
-		staged = circuit.SplitRydbergStages(staged, splitCap)
-	}
-	if err := staged.Validate(); err != nil {
-		return nil, fmt.Errorf("split staging invalid: %w", err)
-	}
-	return staged, nil
 }
 
 // Check cross-checks one circuit through the oracle's compiler set and

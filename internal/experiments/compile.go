@@ -11,7 +11,6 @@ import (
 	"zac/internal/compiler"
 	"zac/internal/core"
 	"zac/internal/fidelity"
-	"zac/internal/place"
 	"zac/internal/resynth"
 )
 
@@ -29,64 +28,51 @@ func toNA(r *core.Result) naResult {
 	return naResult{breakdown: r.Breakdown, duration: r.Duration, compile: r.CompileTime}
 }
 
-// cachedStaged preprocesses a benchmark (resynthesis to {CZ,U3} + ASAP
-// staging) and splits oversized Rydberg stages to the architecture's site
-// capacity, through the registry's shared pass-artifact cache: every
-// compiler asking for the same shaping reads one instance.
-func cachedStaged(cfg Config, b bench.Benchmark, split *arch.Architecture) (*circuit.Staged, error) {
-	return cfg.artifacts().Staged(b.Name, split.TotalSites(), func() (*circuit.Staged, error) {
-		staged, err := resynth.Preprocess(b.Build())
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", b.Name, err)
-		}
-		return staged, nil
-	})
-}
-
-// cachedFlat preprocesses a benchmark without stage splitting — the input
-// shape of the superconducting routers.
-func cachedFlat(cfg Config, b bench.Benchmark) (*circuit.Staged, error) {
-	return cfg.artifacts().Staged(b.Name, 0, func() (*circuit.Staged, error) {
-		staged, err := resynth.Preprocess(b.Build())
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", b.Name, err)
-		}
-		return staged, nil
-	})
-}
-
-// cachedZAC compiles a benchmark with a ZAC-family registry compiler under
-// the given option preset. optKey must uniquely identify opts — the
-// ablation setting name, a sweep configuration label, or "advReuse".
-// Results persist to the disk tier as core.Snapshot, so an entry restored
-// after a restart has nil Plan and Staged; consumers needing the plan use
-// cachedPlan.
-func cachedZAC(ctx context.Context, cfg Config, b bench.Benchmark, a *arch.Architecture, optKey string, opts core.Options) (*core.Result, error) {
-	key := "zac|" + b.Name + "|arch=" + a.Fingerprint() + "|opt=" + optKey
-	if cfg.SARestarts > 1 {
-		// Extra restarts change the plan, so they change the result
-		// identity; the suffix is conditional to keep existing single-chain
-		// cache entries (memory and disk) addressable.
-		key += fmt.Sprintf("|sar=%d", cfg.SARestarts)
-	}
-	return cachedDisk(cfg, key, core.ResultCodec(), func() (*core.Result, error) {
-		staged, err := cachedStaged(cfg, b, a)
-		if err != nil {
-			return nil, err
-		}
-		zc, err := compiler.Get("zac")
-		if err != nil {
-			return nil, err
-		}
-		r, err := zc.Compile(ctx, staged, a, compiler.Options{
-			Key: b.Name, Artifacts: cfg.artifacts(), Core: &opts,
+// request is the compiler.Request of one harness compilation: benchmark b
+// through c for a (nil = the compiler's target architecture) under co (nil
+// = the compiler's preset), sharing the harness's pass-artifact cache.
+func request(cfg Config, c compiler.Compiler, b bench.Benchmark, a *arch.Architecture, co *core.Options) compiler.Request {
+	return compiler.Request{
+		Compiler: c,
+		Arch:     a,
+		Build:    func() (*circuit.Circuit, error) { return b.Build(), nil },
+		Options: compiler.Options{
+			Key: b.Name, Artifacts: cfg.artifacts(), Core: co,
 			SARestarts: cfg.SARestarts, Workers: cfg.Workers,
-		})
+		},
+	}
+}
+
+// zacRequest is the request of one full-ZAC compilation of b for a under co.
+func zacRequest(cfg Config, b bench.Benchmark, a *arch.Architecture, co *core.Options) (compiler.Request, error) {
+	zc, err := compiler.Get("zac")
+	if err != nil {
+		return compiler.Request{}, err
+	}
+	return request(cfg, zc, b, a, co), nil
+}
+
+// cachedCompile runs one request through the harness cache under its
+// Request.Key. Results persist to the disk tier as core.Snapshot, so an
+// entry restored after a restart has nil Plan and Staged.
+func cachedCompile(ctx context.Context, cfg Config, r compiler.Request) (*core.Result, error) {
+	return cachedDisk(cfg, r.Key(), core.ResultCodec(), func() (*core.Result, error) {
+		res, err := r.Compile(ctx)
 		if err != nil {
-			return nil, fmt.Errorf("%s/zac: %w", b.Name, err)
+			return nil, fmt.Errorf("%s/%s: %w", r.Options.Key, r.Compiler.Name(), err)
 		}
-		return r, nil
+		return res, nil
 	})
+}
+
+// cachedZAC compiles a benchmark with the full-ZAC registry compiler under
+// the given options for a.
+func cachedZAC(ctx context.Context, cfg Config, b bench.Benchmark, a *arch.Architecture, opts core.Options) (*core.Result, error) {
+	r, err := zacRequest(cfg, b, a, &opts)
+	if err != nil {
+		return nil, err
+	}
+	return cachedCompile(ctx, cfg, r)
 }
 
 // cachedZACNativeCCZ is the native-CCZ variant of cachedZAC: the benchmark
@@ -120,84 +106,15 @@ func cachedZACNativeCCZ(ctx context.Context, cfg Config, b bench.Benchmark, a *a
 	})
 }
 
-// cachedPlan rebuilds (and memoizes, memory-only) the full-ZAC placement
-// plan for a benchmark through the same pass-artifact cache the registry's
-// zac compiler uses, so a plan computed during compilation is shared here
-// and vice versa. It exists for consumers of cachedZAC results that need
-// the Plan after a disk-tier restore, where only the core.Snapshot subset
-// survives.
-func cachedPlan(ctx context.Context, cfg Config, b bench.Benchmark, a *arch.Architecture) (*place.Plan, error) {
-	staged, err := cachedStaged(cfg, b, a)
-	if err != nil {
-		return nil, err
-	}
-	plan, _, err := cfg.artifacts().Plan(ctx, b.Name, a, staged, core.Default().Place)
-	if err != nil {
-		return nil, fmt.Errorf("%s/zac-plan: %w", b.Name, err)
-	}
-	return plan, nil
-}
-
 // evalCompiler compiles one benchmark with one registry compiler under the
-// paper's evaluation setup: the compiler's default target architecture, and
-// staged input split to the zoned reference capacity (the shaping every
-// neutral-atom column shares) unless the compiler opts out. ZAC-family
-// names route through cachedZAC so their cache entries unify with the
-// Fig. 11 ablation study.
+// paper's evaluation setup: the compiler's default target architecture and
+// preset, with the input shaped by the registry's stage-split rule.
 func evalCompiler(ctx context.Context, cfg Config, name string, b bench.Benchmark) (naResult, error) {
 	c, err := compiler.Get(name)
 	if err != nil {
 		return naResult{}, err
 	}
-	if setting, ok := compiler.Setting(c.Name()); ok {
-		r, err := cachedZAC(ctx, cfg, b, arch.Reference(), setting, core.OptionsFor(setting))
-		if err != nil {
-			return naResult{}, err
-		}
-		return toNA(r), nil
-	}
-	// StageSplitCap is the registry-wide shaping rule; for the baselines it
-	// is exactly the zoned reference capacity cachedStaged splits to, so
-	// the staged artifact is shared with the ZAC columns.
-	var split *arch.Architecture
-	if compiler.StageSplitCap(c) > 0 {
-		split = arch.Reference()
-	}
-	return evalCompilerOn(ctx, cfg, name, b, split, compiler.TargetArch(c))
-}
-
-// evalCompilerOn compiles one benchmark with one registry compiler under an
-// explicit setup: split is the architecture whose site capacity bounds the
-// staged circuit's Rydberg stages (nil = flat, no splitting) and target is
-// the architecture compiled for. Results persist to the disk tier as
-// core.Snapshot.
-func evalCompilerOn(ctx context.Context, cfg Config, name string, b bench.Benchmark, split, target *arch.Architecture) (naResult, error) {
-	c, err := compiler.Get(name)
-	if err != nil {
-		return naResult{}, err
-	}
-	splitLabel := "none"
-	if split != nil {
-		splitLabel = split.Fingerprint()
-	}
-	key := fmt.Sprintf("compile|%s|%s|split=%s|arch=%s", c.Name(), b.Name, splitLabel, target.Fingerprint())
-	r, err := cachedDisk(cfg, key, core.ResultCodec(), func() (*core.Result, error) {
-		var staged *circuit.Staged
-		var err error
-		if split != nil {
-			staged, err = cachedStaged(cfg, b, split)
-		} else {
-			staged, err = cachedFlat(cfg, b)
-		}
-		if err != nil {
-			return nil, err
-		}
-		r, err := c.Compile(ctx, staged, target, compiler.Options{Key: b.Name, Artifacts: cfg.artifacts()})
-		if err != nil {
-			return nil, fmt.Errorf("%s/%s: %w", b.Name, c.Name(), err)
-		}
-		return r, nil
-	})
+	r, err := cachedCompile(ctx, cfg, request(cfg, c, b, nil, nil))
 	if err != nil {
 		return naResult{}, err
 	}

@@ -27,8 +27,8 @@ type Config struct {
 	Progress func(msg string)
 	// SARestarts, when > 1, overrides the ZAC-family initial-placement
 	// restart count (independent annealing chains, best kept). It changes
-	// compiled outputs, so it joins the harness cache key; 0 and 1 keep the
-	// presets' single-chain default and the seed's keys.
+	// compiled outputs, so it joins the harness cache key; 0 and 1 both
+	// keep the presets' single-chain default.
 	SARestarts int
 	// Workers bounds each compilation's intra-compile parallelism (0 = all
 	// cores). Speed-only: it never changes outputs and stays out of every
@@ -46,8 +46,8 @@ func (c Config) progressf(format string, args ...any) {
 	}
 }
 
-// compileCache memoizes every compilation the harness performs, keyed on
-// circuit name + compiler + architecture fingerprint (+ option preset), so
+// compileCache memoizes every compilation the harness performs under its
+// compiler.Request key (circuit, architecture, output-relevant options), so
 // circuits shared across experiments — e.g. the representative subset reused
 // by Fig8/Fig9/Fig10/Table2 — compile once per process. The LRU front is
 // sized far above the full suite's entry count; attaching a disk tier with
@@ -56,8 +56,7 @@ var compileCache = engine.NewTiered(8192)
 
 // compileArtifacts is the pass-artifact view of the process-wide cache:
 // staged circuits and placement plans computed once and shared across every
-// compiler the harness drives (the registry's replacement for the old
-// hand-rolled cachedStaged/cachedPlan sharing).
+// compiler the harness drives.
 var compileArtifacts = compiler.NewArtifacts(compileCache)
 
 // artifacts returns the shared pass-artifact cache, or nil when the config

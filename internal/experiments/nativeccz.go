@@ -46,7 +46,7 @@ func NativeCCZ(ctx context.Context, cfg Config, subset []string) ([]*Table, erro
 			cfg.progressf("nativeccz: %s/native", b.Name)
 			return r, nil
 		}
-		r, err := cachedZAC(ctx, cfg, b, ref, core.SettingSADynPlaceReuse, core.Default())
+		r, err := cachedZAC(ctx, cfg, b, ref, core.Default())
 		if err != nil {
 			return nil, err
 		}

@@ -107,9 +107,8 @@ func Fig1c(ctx context.Context, cfg Config, subset []string) ([]*Table, error) {
 		Title:   "Fig 1c: monolithic (Enola) fidelity breakdown",
 		Columns: []string{"2Q-pure", "excitation", "transfer", "decoherence", "1Q", "total"},
 	}
-	mono := arch.Monolithic()
 	rows, err := mapRows(ctx, cfg, len(benches), func(i int) (fidelity.Breakdown, error) {
-		r, err := evalCompilerOn(ctx, cfg, "enola", benches[i], mono, mono)
+		r, err := evalCompiler(ctx, cfg, "enola", benches[i])
 		if err != nil {
 			return fidelity.Breakdown{}, err
 		}
@@ -225,7 +224,7 @@ func Table2(ctx context.Context, cfg Config, subset []string) ([]*Table, error) 
 		sc  naResult
 	}
 	pairs, err := mapRows(ctx, cfg, len(benches), func(i int) (pair, error) {
-		zr, err := cachedZAC(ctx, cfg, benches[i], zoned, core.SettingSADynPlaceReuse, core.Default())
+		zr, err := cachedZAC(ctx, cfg, benches[i], zoned, core.Default())
 		if err != nil {
 			return pair{}, err
 		}
@@ -290,7 +289,7 @@ func Fig11(ctx context.Context, cfg Config, subset []string) ([]*Table, error) {
 	a := arch.Reference()
 	vals, err := mapRows(ctx, cfg, len(benches)*len(ablationSettings), func(k int) (float64, error) {
 		b, s := benches[k/len(ablationSettings)], ablationSettings[k%len(ablationSettings)]
-		r, err := cachedZAC(ctx, cfg, b, a, s, core.OptionsFor(s))
+		r, err := cachedZAC(ctx, cfg, b, a, core.OptionsFor(s))
 		if err != nil {
 			return 0, fmt.Errorf("%s/%s: %w", b.Name, s, err)
 		}
@@ -347,7 +346,7 @@ func Fig12(ctx context.Context, cfg Config, subset []string) ([]*Table, error) {
 	cells, err := mapRows(ctx, cfg, len(rcs)*len(benches), func(k int) (cell, error) {
 		rc, b := rcs[k/len(benches)], benches[k%len(benches)]
 		if rc.setting != "" {
-			r, err := cachedZAC(ctx, cfg, b, a, rc.setting, core.OptionsFor(rc.setting))
+			r, err := cachedZAC(ctx, cfg, b, a, core.OptionsFor(rc.setting))
 			if err != nil {
 				return cell{}, err
 			}
@@ -395,21 +394,26 @@ func Fig13(ctx context.Context, cfg Config, subset []string) ([]*Table, error) {
 	}
 	rows, err := mapRows(ctx, cfg, len(benches), func(i int) (map[string]float64, error) {
 		b := benches[i]
-		staged, err := cachedStaged(cfg, b, a)
+		req, err := zacRequest(cfg, b, a, nil)
 		if err != nil {
 			return nil, err
 		}
-		r, err := cachedZAC(ctx, cfg, b, a, core.SettingSADynPlaceReuse, core.Default())
+		staged, err := req.Prepare()
+		if err != nil {
+			return nil, err
+		}
+		r, err := cachedCompile(ctx, cfg, req)
 		if err != nil {
 			return nil, err
 		}
 		plan := r.Plan
 		if plan == nil {
 			// The result came back from the disk tier, which persists only
-			// the core.Snapshot subset; rebuild the (deterministic) plan.
-			plan, err = cachedPlan(ctx, cfg, b, a)
+			// the core.Snapshot subset; rebuild the (deterministic) plan
+			// through the pass-artifact cache the compile itself uses.
+			plan, _, err = cfg.artifacts().Plan(ctx, b.Name, a, staged, core.Default().Place)
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("%s/zac-plan: %w", b.Name, err)
 			}
 		}
 		cfg.progressf("fig13: %s", b.Name)
@@ -443,7 +447,7 @@ func Fig14(ctx context.Context, cfg Config, subset []string) ([]*Table, error) {
 	vals, err := mapRows(ctx, cfg, len(benches)*nAODs, func(k int) (float64, error) {
 		b, n := benches[k/nAODs], k%nAODs+1
 		a := arch.WithAODs(arch.Reference(), n)
-		r, err := cachedZAC(ctx, cfg, b, a, core.SettingSADynPlaceReuse, core.Default())
+		r, err := cachedZAC(ctx, cfg, b, a, core.Default())
 		if err != nil {
 			return 0, err
 		}
@@ -483,7 +487,7 @@ func MultiZone(ctx context.Context, cfg Config, subset []string) ([]*Table, erro
 	}
 	rows, err := mapRows(ctx, cfg, len(cases), func(i int) (map[string]float64, error) {
 		tc := cases[i]
-		r, err := cachedZAC(ctx, cfg, b, tc.a, core.SettingSADynPlaceReuse, core.Default())
+		r, err := cachedZAC(ctx, cfg, b, tc.a, core.Default())
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", tc.name, err)
 		}
@@ -540,11 +544,15 @@ func ZAIRStats(ctx context.Context, cfg Config, subset []string) ([]*Table, erro
 	}
 	rows, err := mapRows(ctx, cfg, len(benches), func(i int) (map[string]float64, error) {
 		b := benches[i]
-		staged, err := cachedStaged(cfg, b, a)
+		req, err := zacRequest(cfg, b, a, nil)
 		if err != nil {
 			return nil, err
 		}
-		r, err := cachedZAC(ctx, cfg, b, a, core.SettingSADynPlaceReuse, core.Default())
+		staged, err := req.Prepare()
+		if err != nil {
+			return nil, err
+		}
+		r, err := cachedCompile(ctx, cfg, req)
 		if err != nil {
 			return nil, err
 		}

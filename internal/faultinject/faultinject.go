@@ -119,7 +119,6 @@ type Plan struct {
 	enabled bool
 	rules   map[string][]Rule
 	points  map[string]*pointState
-	sleep   func(time.Duration)
 }
 
 // NewPlan returns an armed Plan drawing per-point fault streams from seed.
@@ -129,7 +128,6 @@ func NewPlan(seed int64, rules ...Rule) *Plan {
 		enabled: true,
 		rules:   map[string][]Rule{},
 		points:  map[string]*pointState{},
-		sleep:   time.Sleep,
 	}
 	p.Add(rules...)
 	return p
@@ -151,17 +149,6 @@ func (p *Plan) Add(rules ...Rule) {
 func (p *Plan) SetEnabled(on bool) {
 	p.mu.Lock()
 	p.enabled = on
-	p.mu.Unlock()
-}
-
-// SetSleep overrides the latency-fault sleeper (tests; nil restores
-// time.Sleep).
-func (p *Plan) SetSleep(fn func(time.Duration)) {
-	p.mu.Lock()
-	if fn == nil {
-		fn = time.Sleep
-	}
-	p.sleep = fn
 	p.mu.Unlock()
 }
 
@@ -279,13 +266,6 @@ func (r *Rule) fail(point string) error {
 		return r.Err
 	}
 	return fmt.Errorf("%s: %w", point, ErrInjected)
-}
-
-// sleeper returns the plan's latency sleeper.
-func (p *Plan) sleeper() func(time.Duration) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.sleep
 }
 
 // splitmixSeed derives a point's initial rng state from the plan seed and

@@ -45,7 +45,7 @@ func (f *faultFS) apply(point string, r *Rule) error {
 		return nil
 	}
 	if r.Kind == KindLatency {
-		f.plan.sleeper()(r.Latency)
+		time.Sleep(r.Latency)
 		return nil
 	}
 	return r.fail(point)

@@ -48,9 +48,6 @@ func MoveTime(d float64) float64 {
 	return math.Sqrt(d / Accel)
 }
 
-// MoveTimeBetween returns the movement duration between two points.
-func MoveTimeBetween(p, q Point) float64 { return MoveTime(p.Dist(q)) }
-
 // Rect is an axis-aligned rectangle given by its lower-left corner and size.
 type Rect struct {
 	Min  Point

@@ -55,7 +55,6 @@ import (
 	"zac/internal/core"
 	"zac/internal/engine"
 	"zac/internal/qasm"
-	"zac/internal/resynth"
 	"zac/internal/telemetry"
 	"zac/internal/workload"
 )
@@ -458,17 +457,21 @@ func (s *Server) compileOne(ctx context.Context, req CompileRequest, defaultComp
 		return nil, "", fmt.Errorf("workers must be non-negative, got %d", req.Workers)
 	}
 
-	key := "serve|" + c.Name() + "|" + circKey + "|arch=" + a.Fingerprint()
-	// SARestarts > 1 changes the compiled bytes, so it joins the key; the
-	// default leaves the key (and any persisted disk entries) untouched.
-	// Workers never joins the key — it only changes compile speed.
-	if req.SARestarts > 1 {
-		key += fmt.Sprintf("|sar=%d", req.SARestarts)
+	cr := compiler.Request{
+		Compiler: c,
+		Arch:     a,
+		Build:    buildCirc,
+		Options: compiler.Options{
+			Key:        circKey,
+			Artifacts:  s.artifacts,
+			SARestarts: req.SARestarts,
+			Workers:    s.compileWorkers(req.Workers),
+		},
 	}
 	// DoCtxTier gives the computation a context cancelled only when every
 	// request sharing it has disconnected, so one client abandoning a
 	// compile never fails an identical concurrent request.
-	res, tier, err := engine.GetTieredCtxTier(s.cache, ctx, key, core.ResultCodec(), func(ctx context.Context) (*core.Result, error) {
+	res, tier, err := engine.GetTieredCtxTier(s.cache, ctx, cr.Key(), core.ResultCodec(), func(ctx context.Context) (*core.Result, error) {
 		ctx, adm := telemetry.Start(ctx, "admission")
 		queued, err := s.admit(ctx)
 		adm.SetBool("queued", queued)
@@ -479,21 +482,14 @@ func (s *Server) compileOne(ctx context.Context, req CompileRequest, defaultComp
 		defer func() { <-s.sem }()
 		s.inflight.Add(1)
 		defer s.inflight.Add(-1)
-		circ, err := buildCirc()
-		if err != nil {
-			return nil, err
-		}
-		staged, err := s.stagedInput(c, circKey, circ)
+		// Prepare and compile run apart so the per-compiler latency times
+		// the compile alone.
+		staged, err := cr.Prepare()
 		if err != nil {
 			return nil, err
 		}
 		t0 := time.Now()
-		r, err := c.Compile(ctx, staged, a, compiler.Options{
-			Key:        circKey,
-			Artifacts:  s.artifacts,
-			SARestarts: req.SARestarts,
-			Workers:    s.compileWorkers(req.Workers),
-		})
+		r, err := c.Compile(ctx, staged, a, cr.Options)
 		if err == nil {
 			s.recordLatency(c.Name(), time.Since(t0))
 			s.recordPasses(c.Name(), r.Passes)
@@ -578,17 +574,6 @@ func (s *Server) admit(ctx context.Context) (bool, error) {
 	case <-ctx.Done():
 		return true, ctx.Err() // don't queue dead work ahead of live requests
 	}
-}
-
-// stagedInput preprocesses the circuit for the chosen compiler through the
-// pass-artifact cache, shaped by the registry-wide StageSplitCap rule:
-// ZAC-family compilers consume the unsplit staging (so the service's ZAIR
-// stays byte-identical to the `zac` CLI) and baselines split to the zoned
-// reference capacity, matching the experiment harness.
-func (s *Server) stagedInput(c compiler.Compiler, circKey string, circ *circuit.Circuit) (*circuit.Staged, error) {
-	return s.artifacts.Staged(circKey, compiler.StageSplitCap(c), func() (*circuit.Staged, error) {
-		return resynth.Preprocess(circ)
-	})
 }
 
 // resolveCompiler picks the registry compiler for one request — the

@@ -6,8 +6,8 @@ import (
 	"net/http"
 	"testing"
 
+	"zac/internal/circuit"
 	"zac/internal/compiler"
-	"zac/internal/resynth"
 	"zac/internal/workload"
 )
 
@@ -76,8 +76,8 @@ func TestCompileWorkloadErrors(t *testing.T) {
 }
 
 // TestCompileWorkloadZAIRMatchesCLI checks the emitted ZAIR for a workload
-// spec is byte-identical to the zac CLI path (same compiler, same unsplit
-// staging).
+// spec is byte-identical to the zac CLI path (same compiler, same
+// compiler.Request preparation).
 func TestCompileWorkloadZAIRMatchesCLI(t *testing.T) {
 	_, ts := newTestServer(t, Options{Parallel: 1})
 	code, body := do(t, "POST", ts.URL+"/v1/compile?format=zair",
@@ -94,22 +94,18 @@ func TestCompileWorkloadZAIRMatchesCLI(t *testing.T) {
 	}
 }
 
-// cliZAIR reproduces the `zac -circuit spec:… -out` path in-process: unsplit
-// staging through the registry's zac compiler, MarshalIndent encoding.
+// cliZAIR reproduces the `zac -circuit spec:… -out` path in-process: a
+// compiler.Request through the registry's zac compiler, MarshalIndent
+// encoding.
 func cliZAIR(spec string) ([]byte, error) {
-	c, err := workload.Build(spec)
-	if err != nil {
-		return nil, err
-	}
-	staged, err := resynth.Preprocess(c)
-	if err != nil {
-		return nil, err
-	}
 	comp, err := compiler.Get("zac")
 	if err != nil {
 		return nil, err
 	}
-	res, err := comp.Compile(context.Background(), staged, compiler.TargetArch(comp), compiler.Options{})
+	res, err := compiler.Request{
+		Compiler: comp,
+		Build:    func() (*circuit.Circuit, error) { return workload.Build(spec) },
+	}.Compile(context.Background())
 	if err != nil {
 		return nil, err
 	}

@@ -235,20 +235,12 @@ func checkResynth(opts FuzzOptions) func(*circuit.Circuit) error {
 	}
 }
 
-// checkCompile compiles the circuit with one registry compiler under the
-// registry-wide shaping rule and verifies the result's invariants.
+// checkCompile compiles the circuit with one registry compiler through
+// compiler.Request and verifies the result's invariants.
 func checkCompile(ctx context.Context, comp compiler.Compiler) func(*circuit.Circuit) error {
 	return func(c *circuit.Circuit) error {
-		staged, err := resynth.Preprocess(c)
-		if err != nil {
-			return fmt.Errorf("preprocess: %w", err)
-		}
-		staged = circuit.SplitRydbergStages(staged, compiler.StageSplitCap(comp))
-		if err := staged.Validate(); err != nil {
-			return fmt.Errorf("split staging invalid: %w", err)
-		}
-		a := compiler.TargetArch(comp)
-		res, err := comp.Compile(ctx, staged, a, compiler.Options{})
+		req := compiler.Request{Compiler: comp, Build: func() (*circuit.Circuit, error) { return c, nil }}
+		res, err := req.Compile(ctx)
 		if err != nil {
 			return fmt.Errorf("compile: %w", err)
 		}
@@ -272,7 +264,7 @@ func checkCompile(ctx context.Context, comp compiler.Compiler) func(*circuit.Cir
 				res.NumRydbergStages, res.TotalMoves, res.ReusedGates)
 		}
 		if len(res.Program.Instructions) > 0 {
-			v := &zair.Verifier{Resolve: a.ResolveTrap}
+			v := &zair.Verifier{Resolve: req.Target().ResolveTrap}
 			if err := v.Verify(res.Program); err != nil {
 				return err
 			}

@@ -45,6 +45,10 @@ func marshalInstruction(in Instruction) (json.RawMessage, error) {
 	case Rydberg:
 		body, err = json.Marshal(v)
 	case RearrangeJob:
+		var insts []json.RawMessage
+		if insts, err = marshalMachine(v.Insts); err != nil {
+			return nil, err
+		}
 		body, err = json.Marshal(struct {
 			AODID     int               `json:"aod_id"`
 			BeginLocs [][]QLoc          `json:"begin_locs"`
@@ -54,7 +58,7 @@ func marshalInstruction(in Instruction) (json.RawMessage, error) {
 			EndTime   float64           `json:"end_time"`
 		}{
 			AODID: v.AODID, BeginLocs: v.BeginLocs, EndLocs: v.EndLocs,
-			Insts: marshalMachine(v.Insts), BeginTime: v.BeginTime, EndTime: v.EndTime,
+			Insts: insts, BeginTime: v.BeginTime, EndTime: v.EndTime,
 		})
 	default:
 		return nil, fmt.Errorf("unknown instruction type %T", in)
@@ -65,20 +69,22 @@ func marshalInstruction(in Instruction) (json.RawMessage, error) {
 	return spliceType(body, in.Type())
 }
 
-func marshalMachine(insts []MachineInst) []json.RawMessage {
+// marshalMachine encodes a job's machine instructions, failing on the first
+// one that does not encode rather than emitting a truncated job.
+func marshalMachine(insts []MachineInst) ([]json.RawMessage, error) {
 	out := make([]json.RawMessage, 0, len(insts))
-	for _, mi := range insts {
+	for i, mi := range insts {
 		body, err := json.Marshal(mi)
 		if err != nil {
-			continue
+			return nil, fmt.Errorf("machine instruction %d: %w", i, err)
 		}
 		tagged, err := spliceType(body, mi.MachineType())
 		if err != nil {
-			continue
+			return nil, fmt.Errorf("machine instruction %d: %w", i, err)
 		}
 		out = append(out, tagged)
 	}
-	return out
+	return out, nil
 }
 
 func spliceType(body []byte, typ string) (json.RawMessage, error) {

@@ -145,6 +145,21 @@ func TestJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMarshalRejectsBadMachineInst pins that an unencodable machine
+// instruction fails the whole program encode instead of being dropped from
+// its rearrangement job.
+func TestMarshalRejectsBadMachineInst(t *testing.T) {
+	p := sampleProgram()
+	job := p.Instructions[1].(RearrangeJob)
+	job.Insts = append([]MachineInst(nil), job.Insts...)
+	job.Insts[1] = Move{RowID: []int{0}, RowYBegin: []float64{297}, RowYEnd: []float64{math.NaN()},
+		ColID: []int{0, 1}, ColXBegin: []float64{3, 39}, ColXEnd: []float64{35, 37}}
+	p.Instructions[1] = job
+	if data, err := p.MarshalJSON(); err == nil {
+		t.Fatalf("MarshalJSON encoded a NaN move: %s", data)
+	}
+}
+
 func TestQLocJSONIsArray(t *testing.T) {
 	data, err := json.Marshal(QLoc{3, 1, 0, 2})
 	if err != nil {
