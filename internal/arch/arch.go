@@ -224,9 +224,16 @@ func (a *Architecture) ResolveTrap(slmID, row, col int) (geom.Point, error) {
 	return geom.Point{}, fmt.Errorf("unknown SLM %d trap (%d,%d)", slmID, row, col)
 }
 
+// MaxTraps bounds the total trap count of every SLM array of an
+// architecture — storage, entanglement and readout together. Topology costs
+// about 100 bytes per trap, so the cap keeps one decoded architecture in the
+// tens of megabytes; the largest built-in, Reference, has 10 000 storage
+// traps.
+const MaxTraps = 1 << 18
+
 // Validate checks structural consistency: non-empty zone lists where needed,
-// site arrays with matching shapes, zones within plausible bounds, and
-// positive hardware parameters.
+// site arrays with matching shapes, zones within plausible bounds, at most
+// MaxTraps traps, and positive hardware parameters.
 func (a *Architecture) Validate() error {
 	if len(a.AODs) == 0 {
 		return fmt.Errorf("arch %q: at least one AOD array is required", a.Name)
@@ -245,6 +252,7 @@ func (a *Architecture) Validate() error {
 			}
 		}
 	}
+	traps := 0
 	for _, zs := range [][]Zone{a.Storage, a.Entanglement, a.Readout} {
 		for _, z := range zs {
 			if z.Dim.X <= 0 || z.Dim.Y <= 0 {
@@ -253,6 +261,13 @@ func (a *Architecture) Validate() error {
 			for _, s := range z.SLMs {
 				if s.Rows <= 0 || s.Cols <= 0 {
 					return fmt.Errorf("arch %q: zone %d SLM %d has non-positive shape", a.Name, z.ID, s.ID)
+				}
+				// Bounding each side first keeps the product from overflowing.
+				if s.Rows > MaxTraps || s.Cols > MaxTraps {
+					return fmt.Errorf("arch %q: zone %d SLM %d is %d×%d, over the %d-trap limit", a.Name, z.ID, s.ID, s.Rows, s.Cols, MaxTraps)
+				}
+				if traps += s.Rows * s.Cols; traps > MaxTraps {
+					return fmt.Errorf("arch %q: zone %d SLM %d takes the trap count over the %d-trap limit", a.Name, z.ID, s.ID, MaxTraps)
 				}
 				if s.SepX <= 0 || s.SepY <= 0 {
 					return fmt.Errorf("arch %q: zone %d SLM %d has non-positive separation", a.Name, z.ID, s.ID)

@@ -91,6 +91,7 @@ func TestBuildersValid(t *testing.T) {
 		"arch2":      Arch2TwoZones(),
 		"logical":    Logical832(),
 		"triple":     ReferenceTriple(),
+		"aods":       WithAODs(Reference(), 4),
 	} {
 		if err := a.Validate(); err != nil {
 			t.Errorf("%s: %v", name, err)
@@ -184,6 +185,42 @@ func TestValidateCatchesErrors(t *testing.T) {
 	d.Fidelities.TwoQubit = 1.5
 	if d.Validate() == nil {
 		t.Error("fidelity > 1 not caught")
+	}
+}
+
+// TestValidateBoundsTraps pins the MaxTraps cap: an SLM too large to build
+// a topology for is rejected, including shapes whose row×column product
+// would overflow, and the cap counts every zone kind together.
+func TestValidateBoundsTraps(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		rows, cols int
+	}{
+		{"20000x20000", 20000, 20000},
+		{"overflow", 1 << 40, 1 << 40},
+		{"one-row", 1, MaxTraps + 1},
+	} {
+		a := Reference()
+		a.Storage[0].SLMs[0].Rows, a.Storage[0].SLMs[0].Cols = tc.rows, tc.cols
+		if err := a.Validate(); err == nil {
+			t.Errorf("%s storage SLM not caught", tc.name)
+		}
+	}
+
+	// Storage and entanglement fill the cap exactly; one readout trap more
+	// is rejected.
+	a := Reference()
+	var ent int
+	for _, s := range a.Entanglement[0].SLMs {
+		ent += s.Rows * s.Cols
+	}
+	a.Storage[0].SLMs[0].Rows, a.Storage[0].SLMs[0].Cols = 1, MaxTraps-ent
+	if err := a.Validate(); err != nil {
+		t.Fatalf("exactly MaxTraps traps rejected: %v", err)
+	}
+	a.Readout[0].SLMs = []SLMArray{{ID: 9, SepX: 1, SepY: 1, Rows: 1, Cols: 1}}
+	if err := a.Validate(); err == nil {
+		t.Error("MaxTraps+1 traps across zones not caught")
 	}
 }
 

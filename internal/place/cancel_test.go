@@ -48,7 +48,7 @@ func settleGoroutines(t *testing.T, baseline int) {
 // TestBuildPlanCancelParallel aborts a multi-restart, multi-worker BuildPlan
 // mid-flight and checks the cancellation propagates as context.Canceled with
 // every worker goroutine torn down. Run under -race this also exercises the
-// concurrent teardown paths of the restart pool and the parallel JV solver.
+// concurrent teardown paths of the restart pool and the 2-way transition race.
 func TestBuildPlanCancelParallel(t *testing.T) {
 	a := arch.Reference()
 	staged := stagedBench(t, "qft_n18")

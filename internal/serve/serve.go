@@ -656,13 +656,18 @@ func resolveCircuit(req CompileRequest) (func() (*circuit.Circuit, error), strin
 // resolveArch decodes the request's architecture (default: the compiler's
 // target architecture — the paper's reference for ZAC and the zoned
 // baselines, the monolithic grid for Enola and Atomique) and applies the
-// AOD override.
+// AOD override. A decoded architecture is validated here, before any
+// compiler builds its topology, so an oversized one is rejected before it
+// allocates.
 func resolveArch(req CompileRequest, c compiler.Compiler) (*arch.Architecture, error) {
 	a := compiler.TargetArch(c)
 	if len(req.Arch) > 0 {
 		a = &arch.Architecture{}
 		if err := json.Unmarshal(req.Arch, a); err != nil {
 			return nil, fmt.Errorf("parsing arch: %w", err)
+		}
+		if err := a.Validate(); err != nil {
+			return nil, err
 		}
 	}
 	if req.AODs > 0 {

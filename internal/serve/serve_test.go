@@ -15,6 +15,7 @@ import (
 
 	"zac/internal/arch"
 	"zac/internal/bench"
+	"zac/internal/compiler"
 	"zac/internal/core"
 	"zac/internal/engine"
 )
@@ -132,6 +133,33 @@ func TestCompileErrorsGolden(t *testing.T) {
 			t.Fatalf("%s: status = %d: %s", tc.name, status, body)
 		}
 		checkGolden(t, tc.name, body)
+	}
+}
+
+// TestOversizedArchRejected sends an architecture whose storage SLM is
+// 20000×20000 traps — a few hundred bytes of JSON that would cost ~40 GB of
+// topology — to every compiler. Each request must fail with 400 before
+// anything is allocated, and the server must keep serving afterwards.
+func TestOversizedArchRejected(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	huge := arch.Reference()
+	huge.Storage[0].SLMs[0].Rows, huge.Storage[0].SLMs[0].Cols = 20000, 20000
+	archJSON, err := json.Marshal(huge)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range compiler.Names() {
+		body := `{"circuit":"bv_n14","compiler":"` + name + `","arch":` + string(archJSON) + `}`
+		status, resp := do(t, "POST", ts.URL+"/v1/compile", body)
+		if status != http.StatusBadRequest {
+			t.Fatalf("%s: status = %d, want 400: %s", name, status, resp)
+		}
+		if !strings.Contains(string(resp), "trap limit") {
+			t.Errorf("%s: error does not name the trap limit: %s", name, resp)
+		}
+	}
+	if status, resp := do(t, "POST", ts.URL+"/v1/compile", `{"circuit":"bv_n14"}`); status != http.StatusOK {
+		t.Fatalf("follow-up compile: status = %d: %s", status, resp)
 	}
 }
 

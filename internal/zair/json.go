@@ -8,14 +8,6 @@ import (
 // JSON encoding mirrors the artifact: each instruction is an object with a
 // "type" discriminator (Fig. 19).
 
-type taggedInst struct {
-	Type string `json:"type"`
-	*Init
-	*OneQGate
-	*Rydberg
-	*RearrangeJob
-}
-
 // MarshalJSON encodes the program as a JSON array of tagged instructions.
 func (p *Program) MarshalJSON() ([]byte, error) {
 	out := struct {
