@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check fmtcheck vet doclint build test race bench bench-micro bench-compare bench-regress bench-regress-rebase benchsuite benchsuite-smoke benchsuite-report fuzz-smoke fuzz-diff fuzz-diff-smoke serve-smoke telemetry-smoke chaos-smoke
+.PHONY: check fmtcheck vet doclint build test race bench bench-micro bench-compare bench-regress bench-regress-rebase benchsuite benchsuite-smoke benchsuite-report fuzz-smoke fuzz-diff serve-smoke telemetry-smoke chaos-smoke
 
 check: fmtcheck vet doclint build race
 
@@ -71,26 +71,22 @@ benchsuite-smoke:
 bench-regress-rebase:
 	./scripts/bench-regress.sh --rebase
 
-# Round-trip fuzz gate: the pinned workload specs through every registry
-# compiler with invariant verification (ZAIR replay, gate-set legality,
-# statevector equivalence, fidelity sanity). Nightly-scale runs:
+# Fuzz gate: the differential oracle over the pinned workload specs — the
+# front-end checks (QASM round trip, resynthesis, statevector equivalence),
+# every registry compiler's checks (sanity, ZAIR replay, resource
+# accounting, repeat-compile determinism) and the cross-compiler checks
+# (compile-outcome agreement, ablation fidelity ordering) — printing the
+# per-class divergence summary with feature counters. Nightly-scale runs:
 # `go run ./cmd/zac-fuzz -duration 10m`.
 fuzz-smoke:
 	$(GO) run ./cmd/zac-fuzz -smoke
 
-# Differential oracle gate: cross-check every registry compiler over the
-# pinned smoke specs (compile-outcome agreement, ZAIR replay, resource
-# accounting, repeat-compile determinism, ablation fidelity ordering) and
-# print the per-class divergence summary with feature counters. ~seconds.
-fuzz-diff-smoke:
-	$(GO) run ./cmd/zac-fuzz -diff -smoke
-
 # Coverage-guided differential fuzzing: the smoke specs seed a mutation
 # loop (spec parameters + gate-level edits) steered by per-pass and
 # planner-branch feature counters; divergences shrink into corpus/.
-# Longer random runs: `go run ./cmd/zac-fuzz -diff -n 100 -mutate 200`.
+# Longer random runs: `go run ./cmd/zac-fuzz -n 100 -mutate 200`.
 fuzz-diff:
-	$(GO) run ./cmd/zac-fuzz -diff -smoke -mutate 64 -corpus corpus
+	$(GO) run ./cmd/zac-fuzz -smoke -mutate 64 -corpus corpus
 
 # Boot zac-serve against a throwaway cache dir, probe /healthz, compile one
 # circuit, and check /metrics — the same smoke CI runs.

@@ -1,28 +1,24 @@
-// Command zac-fuzz is the compile→verify round-trip fuzzer and the
-// differential compile oracle: it generates circuits from the workload forge
-// (pinned specs or a seeded random stream) and checks them one of two ways.
-//
-// The default round-trip mode runs each circuit through the QASM
-// writer/parser and every registry compiler and verifies the invariants the
-// hardware imposes — ZAIR replay (qubit conservation, AOD exclusivity, tone
-// ordering), gate-set legality of the staged program, statevector
-// equivalence at small widths, and fidelity sanity.
-//
-// Differential mode (-diff) cross-checks the registry compilers against each
-// other: compile-outcome agreement, replay verification, resource-accounting
-// consistency, repeat-compile determinism, and ablation fidelity ordering.
-// With -mutate it adds a coverage-guided mutation loop driven by per-pass
-// and planner-branch feature counters. Any divergence is greedily shrunk to
-// a minimal reproduction and, with -corpus, persisted as a QASM repro file.
+// Command zac-fuzz is the compile fuzzer: it generates circuits from the
+// workload forge (pinned specs or a seeded random stream) and checks each
+// one with the differential oracle of internal/difftest. The oracle checks
+// the front end every compiler shares once per input — the QASM
+// write→parse round trip and resynthesis validity, each with statevector
+// equivalence at ≤ 10 qubits — then every selected registry compiler
+// (fidelity, duration and counter sanity, ZAIR replay, qubit conservation
+// and move accounting, repeat-compile determinism), then the compilers
+// against each other (compile-outcome agreement up to 64 qubits, ablation
+// fidelity ordering). With -mutate it adds a coverage-guided mutation loop
+// driven by per-pass and planner-branch feature counters. Any divergence
+// is greedily shrunk to a minimal reproduction and, with -corpus,
+// persisted as a QASM repro file.
 //
 //	zac-fuzz                                    # 25 random specs, all compilers
 //	zac-fuzz -n 200 -seed 42                    # bigger seeded run
-//	zac-fuzz -duration 10m                      # nightly: fuzz until the clock runs out
+//	zac-fuzz -duration 10m                      # nightly: mutate until the clock runs out
 //	zac-fuzz -spec "rb:n=32,depth=20,seed=7"    # exact specs (';'-separated)
 //	zac-fuzz -smoke                             # the pinned CI specs (make fuzz-smoke)
-//	zac-fuzz -compilers zac,enola -simmax 12
-//	zac-fuzz -diff -smoke                       # differential oracle over the pinned specs
-//	zac-fuzz -diff -mutate 64 -corpus corpus/   # coverage-guided differential fuzzing
+//	zac-fuzz -compilers zac,zac-advreuse -fidtol 0.3
+//	zac-fuzz -smoke -mutate 64 -corpus corpus/  # coverage-guided fuzzing (make fuzz-diff)
 package main
 
 import (
@@ -30,6 +26,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
 	"sort"
@@ -49,25 +46,22 @@ func main() {
 
 // run is the testable entry point: it parses args with its own FlagSet,
 // writes to the given streams, and returns the process exit code (0 clean,
-// 1 invariant violations or divergences or bad -compilers, 2 usage or
-// harness errors).
+// 1 divergences or bad -compilers, 2 usage or harness errors).
 func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("zac-fuzz", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	specsFlag := fs.String("spec", "", "';'-separated workload specs to check (disables random fuzzing)")
-	smoke := fs.Bool("smoke", false, "run the pinned CI smoke specs (same as make fuzz-smoke)")
-	n := fs.Int("n", 25, "random specs to fuzz when no -spec/-smoke is given")
-	seed := fs.Int64("seed", 1, "base seed of the random spec stream (runs are reproducible per seed)")
-	duration := fs.Duration("duration", 0, "fuzz until this much time has passed (overrides -n; for nightly runs)")
+	specsFlag := fs.String("spec", "", "';'-separated workload specs to seed the run with (disables random seeds)")
+	smoke := fs.Bool("smoke", false, "seed the run with the pinned CI smoke specs (same as make fuzz-smoke)")
+	n := fs.Int("n", 25, "random seed specs when no -spec/-smoke is given")
+	seed := fs.Int64("seed", 1, "seed of the random spec stream and the mutation RNG (runs are reproducible per seed)")
+	duration := fs.Duration("duration", 0, "mutate until this much time has passed (overrides -mutate; for nightly runs)")
 	compilers := fs.String("compilers", "", "comma-separated registry compilers (default: whole registry)")
-	simMax := fs.Int("simmax", 10, "max qubits for statevector equivalence checks")
-	noShrink := fs.Bool("noshrink", false, "report failures without minimizing them")
+	noShrink := fs.Bool("noshrink", false, "report divergences without minimizing them")
 	listWorkloads := fs.Bool("list-workloads", false, "list generator families with parameter schemas and exit")
-	verbose := fs.Bool("v", false, "print one line per (spec, stage) check")
-	diff := fs.Bool("diff", false, "differential mode: cross-check compilers against each other")
-	mutate := fs.Int("mutate", 0, "differential mode: coverage-guided mutation iterations after the seeds")
-	corpus := fs.String("corpus", "", "differential mode: persist minimized repros to this directory")
-	fidTol := fs.Float64("fidtol", 0, "differential mode: ablation fidelity-ordering tolerance (0 = default)")
+	verbose := fs.Bool("v", false, "print the seeds and every reached feature")
+	mutate := fs.Int("mutate", 0, "coverage-guided mutation iterations after the seeds")
+	corpus := fs.String("corpus", "", "persist minimized repros to this directory")
+	fidTol := fs.Float64("fidtol", 0, "ablation fidelity-ordering tolerance (0 = default)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -77,9 +71,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	// Validate -compilers up front against the registry, whatever the mode:
-	// a typo should fail fast with the valid list, not surface as a
-	// per-spec error deep into a run.
+	// Validate -compilers up front against the registry: a typo should
+	// fail fast with the valid list, not surface deep into a run.
 	var selected []string
 	if *compilers != "" {
 		for _, name := range strings.Split(*compilers, ",") {
@@ -95,142 +88,52 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			selected = append(selected, name)
 		}
 	}
-
-	if *duration > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *duration)
-		defer cancel()
-	}
-
-	var specs []string
-	switch {
-	case *specsFlag != "":
-		for _, s := range strings.Split(*specsFlag, ";") {
-			if s = strings.TrimSpace(s); s != "" {
-				specs = append(specs, s)
-			}
-		}
-	case *smoke:
-		specs = workload.SmokeSpecs()
-	}
-
-	if *diff {
-		return runDiff(ctx, diffConfig{
-			specs: specs, n: *n, seed: *seed, duration: *duration,
-			compilers: selected, mutate: *mutate, corpus: *corpus,
-			fidTol: *fidTol, noShrink: *noShrink, verbose: *verbose,
-		}, stdout, stderr)
-	}
-
-	opts := workload.FuzzOptions{SimMax: *simMax, NoShrink: *noShrink, Compilers: selected}
-
-	start := time.Now()
-	ran, failed := 0, 0
-	runOne := func(spec string) error {
-		failures, err := roundTripVerbose(ctx, spec, opts, *verbose, stderr)
-		if err != nil {
-			return err
-		}
-		ran++
-		for _, f := range failures {
-			failed++
-			fmt.Fprintf(stdout, "FAIL %s\n", f)
-		}
-		return nil
-	}
-
-	var runErr error
-	if specs != nil {
-		for _, spec := range specs {
-			if runErr = runOne(spec); runErr != nil {
-				break
-			}
-		}
-	} else {
-		r := workload.NewRNG(*seed)
-		for i := 0; ; i++ {
-			if *duration > 0 {
-				if ctx.Err() != nil {
-					break
-				}
-			} else if i >= *n {
-				break
-			}
-			if runErr = runOne(workload.RandomSpec(r).Canonical()); runErr != nil {
-				break
-			}
-		}
-	}
-	if runErr != nil && ctx.Err() == nil {
-		fmt.Fprintf(stderr, "zac-fuzz: %v\n", runErr)
-		return 2
-	}
-
-	fmt.Fprintf(stdout, "zac-fuzz: %d specs round-tripped in %s, %d invariant violations\n",
-		ran, time.Since(start).Round(time.Millisecond), failed)
-	if failed > 0 {
-		return 1
-	}
-	return 0
-}
-
-// diffConfig carries the differential-mode settings from flag parsing to
-// runDiff.
-type diffConfig struct {
-	specs     []string
-	n         int
-	seed      int64
-	duration  time.Duration
-	compilers []string
-	mutate    int
-	corpus    string
-	fidTol    float64
-	noShrink  bool
-	verbose   bool
-}
-
-// runDiff drives the differential oracle: the selected specs (or a seeded
-// random stream) become the seed pool, -mutate adds coverage-guided
-// iterations, and the run ends with a per-class divergence summary plus the
-// feature counters. Exit code 1 when any divergence was found.
-func runDiff(ctx context.Context, cfg diffConfig, stdout, stderr io.Writer) int {
 	oracle, err := difftest.New(difftest.Options{
-		Compilers:   cfg.compilers,
-		FidelityTol: cfg.fidTol,
-		NoShrink:    cfg.noShrink,
-		CorpusDir:   cfg.corpus,
+		Compilers:   selected,
+		FidelityTol: *fidTol,
+		NoShrink:    *noShrink,
+		CorpusDir:   *corpus,
 	})
 	if err != nil {
 		fmt.Fprintf(stderr, "zac-fuzz: %v\n", err)
 		return 2
 	}
 
-	seeds := cfg.specs
-	if seeds == nil {
-		// Seed the pool from the random stream, discarding widths beyond
-		// the oracle's bound (platform capacities legitimately diverge
-		// above it).
-		r := workload.NewRNG(cfg.seed)
-		for tries := 0; len(seeds) < cfg.n && tries < cfg.n*10; tries++ {
-			s := workload.RandomSpec(r)
-			c, err := s.Generate()
-			if err != nil || c.NumQubits > difftest.DefaultMaxQubits {
-				continue
+	iterations := *mutate
+	if *duration > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, *duration)
+		defer cancel()
+		iterations = math.MaxInt
+	}
+
+	var seeds []string
+	switch {
+	case *specsFlag != "":
+		for _, s := range strings.Split(*specsFlag, ";") {
+			if s = strings.TrimSpace(s); s != "" {
+				seeds = append(seeds, s)
 			}
-			seeds = append(seeds, s.Canonical())
+		}
+	case *smoke:
+		seeds = workload.SmokeSpecs()
+	default:
+		r := workload.NewRNG(*seed)
+		for i := 0; i < *n; i++ {
+			seeds = append(seeds, workload.RandomSpec(r).Canonical())
 		}
 	}
-	if cfg.verbose {
+	if *verbose {
 		for _, s := range seeds {
-			fmt.Fprintf(stderr, "[diff] seed %s\n", s)
+			fmt.Fprintf(stderr, "[fuzz] seed %s\n", s)
 		}
 	}
 
 	start := time.Now()
 	lr, err := oracle.RunLoop(ctx, difftest.LoopOptions{
 		Seeds:      seeds,
-		Iterations: cfg.mutate,
-		Seed:       cfg.seed,
+		Iterations: iterations,
+		Seed:       *seed,
 	})
 	if err != nil && ctx.Err() == nil {
 		fmt.Fprintf(stderr, "zac-fuzz: %v\n", err)
@@ -241,11 +144,11 @@ func runDiff(ctx context.Context, cfg diffConfig, stdout, stderr io.Writer) int 
 		fmt.Fprintf(stdout, "DIVERGE %s\n", d)
 	}
 	summary := difftest.Summarize(lr.Divergences)
-	fmt.Fprintf(stdout, "zac-fuzz -diff: %d compilers, %d inputs in %s, %s\n",
+	fmt.Fprintf(stdout, "zac-fuzz: %d compilers, %d inputs in %s, %s\n",
 		len(oracle.Compilers()), lr.Inputs, time.Since(start).Round(time.Millisecond), summary)
 	fmt.Fprintf(stdout, "features reached: %d (seeds alone: %d, new via mutation: %d)\n",
 		len(lr.Features), len(lr.BaselineFeatures), len(lr.NewFeatures))
-	if cfg.verbose {
+	if *verbose {
 		feats := make([]string, 0, len(lr.Features))
 		for f := range lr.Features {
 			feats = append(feats, f)
@@ -265,12 +168,4 @@ func runDiff(ctx context.Context, cfg diffConfig, stdout, stderr io.Writer) int 
 		return 1
 	}
 	return 0
-}
-
-// roundTripVerbose wraps workload.RoundTrip with per-spec progress output.
-func roundTripVerbose(ctx context.Context, spec string, opts workload.FuzzOptions, verbose bool, stderr io.Writer) ([]workload.Failure, error) {
-	if verbose {
-		fmt.Fprintf(stderr, "[fuzz] %s\n", spec)
-	}
-	return workload.RoundTrip(ctx, spec, opts)
 }

@@ -5,19 +5,21 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"zac/internal/compiler"
 )
 
 // TestUnknownCompilerExitsOne pins the flag-validation contract: naming an
-// unregistered compiler fails fast with exit code 1 and the valid list,
-// whatever the mode.
+// unregistered compiler fails fast with exit code 1 and the valid list.
 func TestUnknownCompilerExitsOne(t *testing.T) {
 	for _, args := range [][]string{
 		{"-compilers", "zac,no-such-compiler", "-smoke"},
-		{"-diff", "-compilers", "no-such-compiler", "-smoke"},
+		{"-compilers", "no-such-compiler", "-smoke"},
 	} {
 		var stdout, stderr bytes.Buffer
 		code := run(context.Background(), args, &stdout, &stderr)
@@ -37,7 +39,7 @@ func TestUnknownCompilerExitsOne(t *testing.T) {
 }
 
 // TestBadFlagExitsTwo pins usage errors to exit code 2, distinct from
-// invariant violations (1).
+// divergences (1).
 func TestBadFlagExitsTwo(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run(context.Background(), []string{"-no-such-flag"}, &stdout, &stderr); code != 2 {
@@ -45,17 +47,14 @@ func TestBadFlagExitsTwo(t *testing.T) {
 	}
 }
 
-// TestBadSpec pins how each mode surfaces a malformed -spec: round-trip
-// mode reports it as a failing input (exit 1, the historical behavior the
-// nightly depends on), differential mode treats it as a harness error
-// (exit 2) since the seed pool itself is broken.
+// TestBadSpec pins a malformed -spec to a harness error (exit 2): the seed
+// pool itself is broken.
 func TestBadSpec(t *testing.T) {
 	for _, tc := range []struct {
 		args []string
 		want int
 	}{
-		{[]string{"-spec", "frobnicate:n=4"}, 1},
-		{[]string{"-diff", "-spec", "rb:bogus=1"}, 2},
+		{[]string{"-spec", "rb:bogus=1"}, 2},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(context.Background(), tc.args, &stdout, &stderr); code != tc.want {
@@ -87,7 +86,7 @@ func TestDiffSmoke(t *testing.T) {
 	}
 	dir := t.TempDir()
 	var stdout, stderr bytes.Buffer
-	args := []string{"-diff", "-spec", "rb:n=6,depth=4,seed=7",
+	args := []string{"-spec", "rb:n=6,depth=4,seed=7",
 		"-compilers", "zac,zac-vanilla", "-corpus", filepath.Join(dir, "corpus")}
 	code := run(context.Background(), args, &stdout, &stderr)
 	if code != 0 {
@@ -103,5 +102,31 @@ func TestDiffSmoke(t *testing.T) {
 	// A clean run persists nothing.
 	if entries, err := os.ReadDir(filepath.Join(dir, "corpus")); err == nil && len(entries) > 0 {
 		t.Errorf("clean run wrote %d corpus entries", len(entries))
+	}
+}
+
+// TestDurationRunsUntilElapsed: -duration keeps mutating past the seeds
+// until the clock runs out, then reports the run like any other.
+func TestDurationRunsUntilElapsed(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fuzzes for a second; skipped in -short")
+	}
+	const d = time.Second
+	var stdout, stderr bytes.Buffer
+	args := []string{"-spec", "rb:n=6,depth=4,seed=7", "-compilers", "zac", "-duration", d.String()}
+	start := time.Now()
+	code := run(context.Background(), args, &stdout, &stderr)
+	if elapsed := time.Since(start); elapsed < d {
+		t.Errorf("run returned after %s, before -duration %s", elapsed, d)
+	}
+	if code != 0 {
+		t.Fatalf("run(%v) = %d, want 0\nstdout: %s\nstderr: %s", args, code, stdout.String(), stderr.String())
+	}
+	m := regexp.MustCompile(`(\d+) inputs`).FindStringSubmatch(stdout.String())
+	if m == nil {
+		t.Fatalf("summary missing the input count: %s", stdout.String())
+	}
+	if inputs, _ := strconv.Atoi(m[1]); inputs < 2 {
+		t.Errorf("checked %d inputs; -duration should mutate beyond the one seed", inputs)
 	}
 }

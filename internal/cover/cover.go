@@ -2,7 +2,7 @@
 // thread-safe counter set that pipeline passes and planner branches bump
 // when an input exercises them, plumbed through context.Context so no
 // signature in the hot path changes. It exists for the coverage-guided
-// differential fuzzer (internal/difftest, `zac-fuzz -diff`): an input that
+// differential fuzzer (internal/difftest, `zac-fuzz`): an input that
 // reaches a feature no earlier input reached is worth keeping as a seed.
 // Every call is nil-safe — compilations without a collector in their
 // context (benchmarks, the service, the experiment harness) pay one nil

@@ -1,21 +1,23 @@
-// Package difftest is the differential compile oracle: it runs one circuit
-// through every selected registry compiler and cross-checks structured
-// invariants, turning the registry itself into a bug oracle — with ten
-// compilers sharing one pass pipeline, *disagreement* between them (not any
-// absolute number) is the signal, the same cross-configuration-comparison
-// discipline RZBENCH applies to HPC architectures. The oracle classifies
-// every disagreement into a typed Divergence, greedily shrinks the
-// offending circuit to a minimal QASM reproduction (reusing the workload
-// forge's shrinker), and optionally persists it to a corpus directory whose
-// entries become regression tests (testdata/repros) and fuzz seeds.
+// Package difftest is the differential compile oracle and the repo's one
+// fuzz harness: it checks one circuit through the front end every compiler
+// shares (QASM round trip, resynthesis), runs it through every selected
+// registry compiler, and cross-checks structured invariants, turning the
+// registry itself into a bug oracle — with ten compilers sharing one pass
+// pipeline, *disagreement* between them (not any absolute number) is the
+// signal, the same cross-configuration-comparison discipline RZBENCH
+// applies to HPC architectures. The oracle classifies every disagreement
+// into a typed Divergence, greedily shrinks the offending circuit to a
+// minimal QASM reproduction, and optionally persists it to a corpus
+// directory whose entries become regression tests (testdata/repros) and
+// fuzz seeds.
 //
 // On top of the oracle, RunLoop adds a coverage-guided mutation loop:
 // workload.Spec parameters and QASM-level gate mutations (splice, drop,
 // reparameterize, retarget) are driven by the per-pass and planner-branch
 // feature counters exported through internal/cover, and any input that
 // reaches a feature no earlier input reached is kept as a seed. The
-// `zac-fuzz -diff` command and the `make fuzz-diff-smoke` CI gate are the
-// operational surfaces.
+// `zac-fuzz` command and the `make fuzz-smoke` CI gate are the operational
+// surfaces.
 package difftest
 
 import (
@@ -27,11 +29,18 @@ import (
 type Class string
 
 // The divergence taxonomy. Every disagreement the oracle can detect falls
-// into exactly one class; the summary printed by `zac-fuzz -diff` counts
-// per class.
+// into exactly one class; the summary printed by `zac-fuzz` counts per
+// class.
 const (
-	// ClassCompile: a compiler rejected an input that another compiler
-	// accepted (capacity-independent inputs only — see Options.MaxQubits).
+	// ClassFrontend: the compiler-independent front end mishandled the
+	// input, checked once per input — the QASM writer and parser disagree
+	// (stage "qasm"), or resynthesis emits an invalid staged program
+	// (stage "resynth"); either one, at ≤ 10 qubits, also fails when the
+	// derived circuit prepares a different state.
+	ClassFrontend Class = "frontend"
+	// ClassCompile: a compiler rejected an input of at most 64 qubits,
+	// a width every platform holds — whether or not another compiler
+	// accepted it.
 	ClassCompile Class = "compile"
 	// ClassVerify: an emitted ZAIR program failed replay verification
 	// (pickup consistency, AOD exclusivity, tone ordering, …).
@@ -55,7 +64,7 @@ const (
 
 // Classes lists the taxonomy in summary order.
 func Classes() []Class {
-	return []Class{ClassCompile, ClassVerify, ClassAccounting,
+	return []Class{ClassFrontend, ClassCompile, ClassVerify, ClassAccounting,
 		ClassDeterminism, ClassFidelityOrder, ClassSanity}
 }
 
@@ -65,7 +74,7 @@ type Divergence struct {
 	// Class is the taxonomy bucket.
 	Class Class
 	// Compiler names the offending compiler ("a>b" for cross-compiler
-	// fidelity-ordering pairs).
+	// fidelity-ordering pairs, the front-end stage for ClassFrontend).
 	Compiler string
 	// Input identifies the originating input: a canonical workload spec or
 	// a mutation label.

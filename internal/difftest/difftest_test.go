@@ -37,7 +37,7 @@ func TestClassesCoverTaxonomy(t *testing.T) {
 		}
 		seen[c] = true
 	}
-	for _, c := range []Class{ClassCompile, ClassVerify, ClassAccounting,
+	for _, c := range []Class{ClassFrontend, ClassCompile, ClassVerify, ClassAccounting,
 		ClassDeterminism, ClassFidelityOrder, ClassSanity} {
 		if !seen[c] {
 			t.Fatalf("Classes() missing %s", c)

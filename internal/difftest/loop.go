@@ -30,9 +30,6 @@ type LoopOptions struct {
 type LoopResult struct {
 	// Inputs is the total number of inputs checked (seeds + mutations).
 	Inputs int
-	// Skipped counts seeds discarded for exceeding the oracle's qubit
-	// bound.
-	Skipped int
 	// Divergences are every classified disagreement found, in discovery
 	// order.
 	Divergences []Divergence
@@ -79,8 +76,7 @@ type loopEntry struct {
 // a per-input feature probe, then repeatedly mutate a pool entry (spec
 // parameters when the ancestor is a forge spec, gate-level edits always),
 // keeping any input that reaches a feature no earlier input reached.
-// Divergences accumulate across all inputs. Inputs wider than the oracle's
-// qubit bound are discarded, not errors.
+// Divergences accumulate across all inputs.
 func (o *Oracle) RunLoop(ctx context.Context, opts LoopOptions) (*LoopResult, error) {
 	seeds := opts.Seeds
 	if len(seeds) == 0 {
@@ -110,15 +106,11 @@ func (o *Oracle) RunLoop(ctx context.Context, opts LoopOptions) (*LoopResult, er
 		}
 		spec, err := workload.Parse(s)
 		if err != nil {
-			return nil, fmt.Errorf("difftest: seed %q: %w", s, err)
+			return lr, fmt.Errorf("difftest: seed %q: %w", s, err)
 		}
 		c, err := spec.Generate()
 		if err != nil {
-			return nil, fmt.Errorf("difftest: seed %q: %w", s, err)
-		}
-		if c.NumQubits > o.opts.maxQubits() {
-			lr.Skipped++
-			continue
+			return lr, fmt.Errorf("difftest: seed %q: %w", s, err)
 		}
 		if _, err := probe(spec.Canonical(), c); err != nil {
 			return lr, err
@@ -128,10 +120,6 @@ func (o *Oracle) RunLoop(ctx context.Context, opts LoopOptions) (*LoopResult, er
 	for i, c := range opts.ExtraSeeds {
 		if err := ctx.Err(); err != nil {
 			return lr, err
-		}
-		if c.NumQubits > o.opts.maxQubits() {
-			lr.Skipped++
-			continue
 		}
 		label := c.Name
 		if label == "" {
@@ -165,7 +153,7 @@ func (o *Oracle) RunLoop(ctx context.Context, opts LoopOptions) (*LoopResult, er
 		} else {
 			cand = MutateCircuit(r, parent.c)
 		}
-		if cand.NumQubits > o.opts.maxQubits() || len(cand.Gates) == 0 {
+		if len(cand.Gates) == 0 {
 			continue
 		}
 		label := mutLabel(parent.label, i)

@@ -10,7 +10,7 @@ import (
 
 // TestOracleCleanOnSmokeSpecs is the oracle's own regression gate: the
 // real registry produces zero divergences over the pinned smoke specs.
-// This is the same configuration `make fuzz-diff-smoke` runs in CI.
+// This is the same configuration `make fuzz-smoke` runs in CI.
 func TestOracleCleanOnSmokeSpecs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles every smoke spec twice with every compiler; skipped in -short")
@@ -99,21 +99,30 @@ func TestLoopDeterministic(t *testing.T) {
 	}
 }
 
-// TestLoopSkipsWideSeeds: seeds beyond the oracle's qubit bound are
-// counted, not fatal.
-func TestLoopSkipsWideSeeds(t *testing.T) {
-	o, err := New(Options{Compilers: []string{"zac"}, MaxQubits: 8, NoShrink: true})
+// TestLoopChecksWideSeeds: a seed wider than every SC coupling still gets
+// the front-end and per-compiler checks, while the SC router's capacity
+// rejection on it is not a compile divergence.
+func TestLoopChecksWideSeeds(t *testing.T) {
+	o, err := New(Options{Compilers: []string{"zac", "sc-grid"}, NoShrink: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	lr, err := o.RunLoop(context.Background(), LoopOptions{
-		Seeds: []string{"rb:n=6,depth=2,seed=1", "rb:n=20,depth=2,seed=1"},
-	})
+	const spec = "rb:n=130,depth=1,seed=1"
+	if out := o.compileOnce(context.Background(), mustGet(t, "sc-grid"), genCircuit(t, spec)); out.err == nil {
+		t.Fatalf("sc-grid compiled %s; the test needs a capacity rejection", spec)
+	}
+	lr, err := o.RunLoop(context.Background(), LoopOptions{Seeds: []string{spec}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if lr.Skipped != 1 || lr.Inputs != 1 {
-		t.Errorf("Skipped=%d Inputs=%d, want 1 and 1", lr.Skipped, lr.Inputs)
+	if lr.Inputs != 1 {
+		t.Errorf("Inputs=%d, want 1", lr.Inputs)
+	}
+	if lr.Features["pass:place"] == 0 {
+		t.Errorf("zac never placed the wide seed; features: %v", lr.Features)
+	}
+	for _, d := range lr.Divergences {
+		t.Errorf("unexpected divergence: %s", d)
 	}
 }
 

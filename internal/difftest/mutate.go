@@ -37,13 +37,13 @@ func MutateSpec(r *workload.RNG, s workload.Spec) workload.Spec {
 	if r.Intn(4) == 0 {
 		// Full resample within fuzz ranges.
 		for _, p := range params {
-			lo, hi := fuzzRange(p)
+			lo, hi := p.FuzzRange()
 			out.Values[p.Name] = lo + r.Int63n(hi-lo+1)
 		}
 		return out
 	}
 	p := params[r.Intn(len(params))]
-	lo, hi := fuzzRange(p)
+	lo, hi := p.FuzzRange()
 	step := (hi - lo) / 8
 	if step < 1 {
 		step = 1
@@ -61,19 +61,6 @@ func MutateSpec(r *workload.RNG, s workload.Spec) workload.Spec {
 	}
 	out.Values[p.Name] = v
 	return out
-}
-
-// fuzzRange returns a parameter's mutation bounds: its fuzz range when the
-// schema declares one, otherwise the same fallback RandomSpec uses.
-func fuzzRange(p workload.Param) (lo, hi int64) {
-	lo, hi = p.FuzzMin, p.FuzzMax
-	if hi <= lo {
-		lo, hi = p.Min, p.Default*4
-		if hi <= lo {
-			hi = lo + 1
-		}
-	}
-	return lo, hi
 }
 
 // MutateCircuit derives a new circuit by applying 1–3 random gate-level

@@ -11,6 +11,8 @@ import (
 	"zac/internal/circuit"
 	"zac/internal/compiler"
 	"zac/internal/qasm"
+	"zac/internal/resynth"
+	"zac/internal/sim"
 	"zac/internal/workload"
 	"zac/internal/zair"
 )
@@ -34,11 +36,14 @@ const (
 	// DefaultMaxShrinkChecks bounds the predicate evaluations — each one
 	// or two full compiles — spent minimizing one divergence.
 	DefaultMaxShrinkChecks = 120
-	// DefaultMaxQubits bounds the width the oracle accepts. Above ~64
-	// qubits the platforms' capacity limits legitimately diverge (the SC
-	// couplings hold 121–127 qubits), which would turn ClassCompile into
-	// noise.
-	DefaultMaxQubits = 64
+	// agreementMaxQubits bounds the widths the compile-agreement check
+	// covers. Above ~64 qubits the platforms' capacity limits legitimately
+	// diverge (the SC couplings hold 121–127 qubits), which would turn
+	// ClassCompile into noise. Every other check runs at any width.
+	agreementMaxQubits = 64
+	// simMaxQubits bounds the widths the front-end checks simulate for
+	// statevector equivalence.
+	simMaxQubits = 10
 )
 
 // Options configures an Oracle. The zero value checks the whole registry
@@ -59,9 +64,6 @@ type Options struct {
 	// CorpusDir, when non-empty, persists each minimized repro as a
 	// commented QASM file in this directory.
 	CorpusDir string
-	// MaxQubits bounds accepted circuit widths (≤ 0 selects
-	// DefaultMaxQubits).
-	MaxQubits int
 }
 
 func (o Options) fidelityTol() float64 {
@@ -76,13 +78,6 @@ func (o Options) maxShrinkChecks() int {
 		return DefaultMaxShrinkChecks
 	}
 	return o.MaxShrinkChecks
-}
-
-func (o Options) maxQubits() int {
-	if o.MaxQubits <= 0 {
-		return DefaultMaxQubits
-	}
-	return o.MaxQubits
 }
 
 // Oracle cross-checks compilations of one circuit across a fixed compiler
@@ -199,16 +194,21 @@ func (o *Oracle) compileOnce(ctx context.Context, comp compiler.Compiler, c *cir
 	return outcome{res: cr, hash: hex.EncodeToString(sum[:])}
 }
 
-// Check cross-checks one circuit through the oracle's compiler set and
-// returns every classified, minimized divergence. The returned error is
-// non-nil only for harness-level problems (cancellation, width beyond
-// Options.MaxQubits) — invariant violations come back as Divergences.
+// Check runs the front-end checks on one circuit, then cross-checks it
+// through the oracle's compiler set, and returns every classified,
+// minimized divergence. The returned error is non-nil only for
+// cancellation — invariant violations come back as Divergences.
 func (o *Oracle) Check(ctx context.Context, c *circuit.Circuit, label string) ([]Divergence, error) {
-	if c.NumQubits > o.opts.maxQubits() {
-		return nil, fmt.Errorf("difftest: circuit %s has %d qubits, oracle bound is %d (platform capacities diverge above it)",
-			label, c.NumQubits, o.opts.maxQubits())
-	}
 	var divs []Divergence
+	for _, fc := range frontendChecks {
+		if err := checkFrontend(fc.check, c); err != nil {
+			divs = append(divs, o.finish(ctx, Divergence{
+				Class: ClassFrontend, Compiler: fc.stage, Input: label, Detail: err.Error(),
+			}, c, func(cand *circuit.Circuit) bool {
+				return checkFrontend(fc.check, cand) != nil
+			}))
+		}
+	}
 	outs := make(map[string]outcome, len(o.comps))
 	for _, comp := range o.comps {
 		if err := ctx.Err(); err != nil {
@@ -258,29 +258,32 @@ func (o *Oracle) Check(ctx context.Context, c *circuit.Circuit, label string) ([
 		return divs, err
 	}
 
-	// Cross-compiler: compile-outcome agreement. A failure is only a
-	// divergence when a witness compiler accepted the same input.
-	var witness compiler.Compiler
-	for _, comp := range o.comps {
-		if outs[comp.Name()].err == nil {
-			witness = comp
-			break
-		}
-	}
-	if witness != nil {
+	// Cross-compiler: compile-outcome agreement, up to the width every
+	// platform holds. A rejection there is a divergence; a witness compiler
+	// that accepted the same input, when there is one, must keep accepting
+	// the shrunk repro.
+	if c.NumQubits <= agreementMaxQubits {
+		var witness compiler.Compiler
 		for _, comp := range o.comps {
-			comp := comp
+			if outs[comp.Name()].err == nil {
+				witness = comp
+				break
+			}
+		}
+		for _, comp := range o.comps {
 			failed := outs[comp.Name()].err
 			if failed == nil {
 				continue
 			}
-			w := witness
+			detail := fmt.Sprintf("rejected an input of %d qubits that every compiler rejected: %v", c.NumQubits, failed)
+			if witness != nil {
+				detail = fmt.Sprintf("rejected input that %s accepted: %v", witness.Name(), failed)
+			}
 			divs = append(divs, o.finish(ctx, Divergence{
-				Class: ClassCompile, Compiler: comp.Name(), Input: label,
-				Detail: fmt.Sprintf("rejected input that %s accepted: %v", w.Name(), failed),
+				Class: ClassCompile, Compiler: comp.Name(), Input: label, Detail: detail,
 			}, c, func(cand *circuit.Circuit) bool {
 				return o.compileOnce(ctx, comp, cand).err != nil &&
-					o.compileOnce(ctx, w, cand).err == nil
+					(witness == nil || o.compileOnce(ctx, witness, cand).err == nil)
 			}))
 		}
 	}
@@ -428,13 +431,12 @@ func replayMoves(p *zair.Program) int {
 	return n
 }
 
-// finish minimizes a divergence's circuit with the forge's shrinker, fills
-// in the repro fields, and persists to the corpus directory when one is
-// configured.
+// finish minimizes a divergence's circuit with shrink, fills in the repro
+// fields, and persists to the corpus directory when one is configured.
 func (o *Oracle) finish(ctx context.Context, d Divergence, c *circuit.Circuit, stillFails func(*circuit.Circuit) bool) Divergence {
 	red := c
 	if !o.opts.NoShrink {
-		red = workload.Shrink(c, func(cand *circuit.Circuit) bool {
+		red = shrink(c, func(cand *circuit.Circuit) bool {
 			return ctx.Err() == nil && contained(stillFails)(cand)
 		}, o.opts.maxShrinkChecks())
 	}
@@ -459,4 +461,84 @@ func contained(pred func(*circuit.Circuit) bool) func(*circuit.Circuit) bool {
 		}()
 		return pred(c)
 	}
+}
+
+// frontendChecks are the compiler-independent checks of the front end every
+// compiler shares, run once per input. Each names the stage it covers,
+// which a frontend divergence reports in place of a compiler.
+var frontendChecks = []struct {
+	stage string
+	check func(*circuit.Circuit) error
+}{
+	{"qasm", checkQASM},
+	{"resynth", checkResynth},
+}
+
+// checkFrontend runs one front-end check, containing panics: a panic in
+// the shared front end is itself a violation, and stays shrinkable.
+func checkFrontend(check func(*circuit.Circuit) error, c *circuit.Circuit) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("check panicked: %v", r)
+		}
+	}()
+	return check(c)
+}
+
+// checkQASM verifies that the QASM writer and parser agree on the circuit:
+// the emission parses, keeps the width and every unitary gate, and (at
+// simulable widths) prepares the same state up to global phase.
+func checkQASM(c *circuit.Circuit) error {
+	back, err := qasm.Parse(qasm.Write(c))
+	if err != nil {
+		return fmt.Errorf("emitted QASM does not parse: %w", err)
+	}
+	if back.NumQubits != c.NumQubits {
+		return fmt.Errorf("round trip changed width: %d → %d", c.NumQubits, back.NumQubits)
+	}
+	unitary := 0
+	for _, g := range c.Gates {
+		if g.Kind != circuit.Measure && g.Kind != circuit.Barrier {
+			unitary++
+		}
+	}
+	if len(back.Gates) < unitary {
+		return fmt.Errorf("round trip dropped gates: %d → %d", unitary, len(back.Gates))
+	}
+	return sameState(c, back, "round trip")
+}
+
+// checkResynth verifies the preprocessing pass: the staged program
+// validates (gate-set legality: only U3/CZ(CCZ) in well-formed disjoint
+// stages) and, at simulable widths, prepares the input's state.
+func checkResynth(c *circuit.Circuit) error {
+	staged, err := resynth.Preprocess(c)
+	if err != nil {
+		return fmt.Errorf("preprocess: %w", err)
+	}
+	if err := staged.Validate(); err != nil {
+		return fmt.Errorf("staged program invalid: %w", err)
+	}
+	return sameState(c, staged.Flatten(), "resynthesis")
+}
+
+// sameState checks, at widths up to simMaxQubits, that derived prepares
+// the same state as orig from |0…0⟩ up to global phase. A NaN fidelity
+// fails the check.
+func sameState(orig, derived *circuit.Circuit, what string) error {
+	if orig.NumQubits > simMaxQubits {
+		return nil
+	}
+	sa, err := sim.Run(orig)
+	if err != nil {
+		return fmt.Errorf("simulating original: %w", err)
+	}
+	sb, err := sim.Run(derived)
+	if err != nil {
+		return fmt.Errorf("simulating %s: %w", what, err)
+	}
+	if f := sim.FidelityUpToPhase(sa, sb); !(math.Abs(f-1) <= 1e-7) {
+		return fmt.Errorf("%s changed semantics: fidelity %g", what, f)
+	}
+	return nil
 }

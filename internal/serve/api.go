@@ -58,7 +58,8 @@ type CompileRequest struct {
 	// its deadline fails with a timeout error (HTTP 504 for a single
 	// synchronous request, a per-item error otherwise); the underlying
 	// compilation is cancelled unless concurrent identical requests still
-	// want it.
+	// want it. Negative values and values above one day (86400000) are
+	// rejected with 400.
 	TimeoutMS int `json:"timeout_ms,omitempty"`
 }
 

@@ -361,6 +361,10 @@ func (s *Server) compileBatch(ctx context.Context, batch []CompileRequest, defau
 	return items
 }
 
+// maxTimeoutMS bounds a request's timeout_ms to one day, far below where
+// the millisecond-to-Duration conversion overflows.
+const maxTimeoutMS = 24 * 60 * 60 * 1000
+
 // compileItem wraps compileOne into a BatchItem, applying the request's
 // timeout_ms deadline and classifying failures into the HTTP status a
 // single synchronous request reports (batch items carry the message only).
@@ -401,6 +405,10 @@ func (s *Server) compileItem(ctx context.Context, req CompileRequest, defaultCom
 			slog.String("status", status),
 			slog.Duration("duration", time.Since(t0)))
 	}()
+	if req.TimeoutMS < 0 || req.TimeoutMS > maxTimeoutMS {
+		status = "error"
+		return BatchItem{Error: fmt.Sprintf("timeout_ms must be in [0, %d], got %d", maxTimeoutMS, req.TimeoutMS)}
+	}
 	if req.TimeoutMS > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMS)*time.Millisecond)

@@ -163,6 +163,31 @@ func TestOversizedArchRejected(t *testing.T) {
 	}
 }
 
+// TestTimeoutValidation: a timeout_ms outside [0, one day] is a 400, like
+// a negative sa_restarts or workers. A negative value must not mean "no
+// deadline", and one past ~9.2e12 must not overflow into an instant 504.
+func TestTimeoutValidation(t *testing.T) {
+	_, ts := newTestServer(t, Options{})
+	for _, tc := range []struct {
+		timeout string
+		status  int
+	}{
+		{"-1", http.StatusBadRequest},
+		{"86400001", http.StatusBadRequest},
+		{"9300000000000", http.StatusBadRequest},
+		{"0", http.StatusOK},
+		{"86400000", http.StatusOK},
+	} {
+		status, body := do(t, "POST", ts.URL+"/v1/compile", `{"circuit":"bv_n14","timeout_ms":`+tc.timeout+`}`)
+		if status != tc.status {
+			t.Errorf("timeout_ms %s: status = %d, want %d: %s", tc.timeout, status, tc.status, body)
+		}
+		if tc.status == http.StatusBadRequest && !strings.Contains(string(body), "timeout_ms must be in") {
+			t.Errorf("timeout_ms %s: error does not name the bound: %s", tc.timeout, body)
+		}
+	}
+}
+
 // TestCompileMatchesCLI is the parity guarantee: the service's ZAIR output
 // must be byte-identical to what `zac -out` writes for the same input.
 func TestCompileMatchesCLI(t *testing.T) {

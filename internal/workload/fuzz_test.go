@@ -1,112 +1,10 @@
 package workload
 
 import (
-	"context"
-	"errors"
-	"strings"
 	"testing"
 
-	"zac/internal/circuit"
 	"zac/internal/compiler"
 )
-
-// TestRoundTripSmoke runs the pinned CI specs through the zac compiler (the
-// full registry pass is `make fuzz-smoke`; one compiler keeps the unit test
-// fast while still exercising generate → qasm → resynth → compile → verify).
-func TestRoundTripSmoke(t *testing.T) {
-	for _, spec := range SmokeSpecs() {
-		failures, err := RoundTrip(context.Background(), spec, FuzzOptions{Compilers: []string{"zac"}})
-		if err != nil {
-			t.Fatalf("%s: %v", spec, err)
-		}
-		for _, f := range failures {
-			t.Errorf("%s", f)
-		}
-	}
-}
-
-// TestRoundTripAllCompilersOneSpec exercises the whole registry on one tiny
-// spec, the shape of the fuzz-smoke CI gate.
-func TestRoundTripAllCompilersOneSpec(t *testing.T) {
-	failures, err := RoundTrip(context.Background(), "rb:n=6,depth=3,seed=7", FuzzOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range failures {
-		t.Errorf("%s", f)
-	}
-}
-
-func TestRoundTripUnknownSpec(t *testing.T) {
-	failures, err := RoundTrip(context.Background(), "frobnicate:n=4", FuzzOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(failures) != 1 || failures[0].Stage != "generate" {
-		t.Fatalf("failures = %+v, want one generate-stage failure", failures)
-	}
-}
-
-func TestRoundTripUnknownCompiler(t *testing.T) {
-	if _, err := RoundTrip(context.Background(), "rb", FuzzOptions{Compilers: []string{"bogus"}}); err == nil {
-		t.Fatal("expected harness error for unknown compiler")
-	}
-}
-
-// TestShrinkMinimizesPlantedBug plants a detectable "bug" (a marker CZ pair)
-// inside a large random circuit and checks the shrinker isolates it.
-func TestShrinkMinimizesPlantedBug(t *testing.T) {
-	c, err := Build("clifford:n=12,gates=200,seed=3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Plant a marker gate the clifford family never emits; the predicate is
-	// position- and index-insensitive, as compiler invariant checks are.
-	c.Gates = append(c.Gates[:100:100], append([]circuit.Gate{circuit.NewGate(circuit.CSWAP, []int{2, 9, 5})}, c.Gates[100:]...)...)
-	fails := func(cand *circuit.Circuit) bool {
-		for _, g := range cand.Gates {
-			if g.Kind == circuit.CSWAP {
-				return true
-			}
-		}
-		return false
-	}
-	got := Shrink(c, fails, 500)
-	if !fails(got) {
-		t.Fatal("shrink lost the failure")
-	}
-	if len(got.Gates) != 1 {
-		t.Fatalf("shrink left %d gates, want 1", len(got.Gates))
-	}
-	if got.NumQubits != 3 {
-		t.Fatalf("shrink left %d qubits, want 3 after compaction", got.NumQubits)
-	}
-	if err := got.Validate(); err != nil {
-		t.Fatalf("shrunk circuit invalid: %v", err)
-	}
-}
-
-func TestShrinkRespectsBudget(t *testing.T) {
-	c, err := Build("clifford:n=8,gates=120,seed=5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	checks := 0
-	Shrink(c, func(*circuit.Circuit) bool { checks++; return true }, 25)
-	if checks > 25 {
-		t.Fatalf("predicate ran %d times, budget 25", checks)
-	}
-}
-
-// TestContainedRecoversPanics pins the fuzzer's panic containment: a
-// panicking check becomes a reportable error, not a crashed run.
-func TestContainedRecoversPanics(t *testing.T) {
-	check := contained(func(*circuit.Circuit) error { panic("boom") })
-	err := check(circuit.New("x", 1))
-	if err == nil || !strings.Contains(err.Error(), "boom") {
-		t.Fatalf("err = %v, want contained panic", err)
-	}
-}
 
 func TestRandomSpecReproducible(t *testing.T) {
 	a, b := NewRNG(42), NewRNG(42)
@@ -121,15 +19,6 @@ func TestRandomSpecReproducible(t *testing.T) {
 	}
 }
 
-func TestRoundTripCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := RoundTrip(ctx, "rb:n=6,depth=3,seed=1", FuzzOptions{Compilers: []string{"zac"}})
-	if err != nil && !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want nil or context.Canceled", err)
-	}
-}
-
 // TestSmokeSpecsStayInRegistry guards the CI gate's pinned specs against
 // family renames.
 func TestSmokeSpecsStayInRegistry(t *testing.T) {
@@ -139,6 +28,21 @@ func TestSmokeSpecsStayInRegistry(t *testing.T) {
 	for _, s := range SmokeSpecs() {
 		if _, err := Parse(s); err != nil {
 			t.Errorf("smoke spec %q: %v", s, err)
+		}
+	}
+}
+
+func TestFuzzRange(t *testing.T) {
+	for _, tc := range []struct {
+		p      Param
+		lo, hi int64
+	}{
+		{Param{Min: 1, Default: 8, FuzzMin: 2, FuzzMax: 24}, 2, 24},
+		{Param{Min: 1, Default: 8}, 1, 32},
+		{Param{Min: 0, Default: 0}, 0, 1},
+	} {
+		if lo, hi := tc.p.FuzzRange(); lo != tc.lo || hi != tc.hi {
+			t.Errorf("%+v: FuzzRange() = [%d, %d], want [%d, %d]", tc.p, lo, hi, tc.lo, tc.hi)
 		}
 	}
 }

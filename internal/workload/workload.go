@@ -4,10 +4,9 @@
 // (e.g. "rb:n=32,depth=20,seed=7") that doubles as a cache key: the same
 // spec reproduces a byte-identical circuit — and byte-identical OpenQASM via
 // internal/qasm — on every run, so generated workloads cache, replay, and
-// minimize exactly like the static benchmark suite. The fuzz harness
-// (fuzz.go, driven by cmd/zac-fuzz) builds on the registry to round-trip
-// generated circuits through every registry compiler and hunt invariant
-// violations.
+// minimize exactly like the static benchmark suite. The differential fuzzer
+// (internal/difftest, driven by cmd/zac-fuzz) seeds from SmokeSpecs and
+// RandomSpec and mutates specs within each parameter's FuzzRange.
 package workload
 
 import (
@@ -29,11 +28,25 @@ type Param struct {
 	Default int64
 	// Min and Max bound accepted values (Max 0 = unbounded above).
 	Min, Max int64
-	// FuzzMin and FuzzMax bound the values cmd/zac-fuzz draws randomly; a
-	// zero pair falls back to [Min, Default×4].
+	// FuzzMin and FuzzMax bound the values the fuzzer draws randomly; see
+	// FuzzRange for the fallback when they are unset.
 	FuzzMin, FuzzMax int64
 	// Desc is the one-line description printed by -list-workloads.
 	Desc string
+}
+
+// FuzzRange returns the inclusive bounds random draws and mutations use:
+// [FuzzMin, FuzzMax] when the schema declares a range, otherwise
+// [Min, Default×4], widened to at least two values.
+func (p Param) FuzzRange() (lo, hi int64) {
+	lo, hi = p.FuzzMin, p.FuzzMax
+	if hi <= lo {
+		lo, hi = p.Min, p.Default*4
+		if hi <= lo {
+			hi = lo + 1
+		}
+	}
+	return lo, hi
 }
 
 // Values maps parameter names to values, always fully populated (defaults
