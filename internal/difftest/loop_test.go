@@ -30,6 +30,42 @@ func TestOracleCleanOnSmokeSpecs(t *testing.T) {
 	}
 }
 
+// TestCheckSpecSmokeOneCompiler runs the pinned smoke specs through the
+// oracle with the zac compiler alone, so the front-end checks (QASM round
+// trip, resynthesis validity) and zac's per-compiler checks stay covered
+// in -short runs; the whole registry is TestOracleCleanOnSmokeSpecs.
+func TestCheckSpecSmokeOneCompiler(t *testing.T) {
+	o, err := New(Options{Compilers: []string{"zac"}, NoShrink: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, spec := range workload.SmokeSpecs() {
+		divs, err := o.CheckSpec(context.Background(), spec)
+		if err != nil {
+			t.Fatalf("%s: %v", spec, err)
+		}
+		for _, d := range divs {
+			t.Errorf("%s: %s", spec, d)
+		}
+	}
+}
+
+// TestCheckSpecAllCompilersOneSpec exercises the whole registry on one
+// tiny spec, including the cross-compiler checks, without -short's skip.
+func TestCheckSpecAllCompilersOneSpec(t *testing.T) {
+	o, err := New(Options{NoShrink: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	divs, err := o.CheckSpec(context.Background(), "rb:n=6,depth=3,seed=7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range divs {
+		t.Errorf("%s", d)
+	}
+}
+
 // TestLoopReachesNewPlannerBranch pins the coverage-guided loop's reason
 // to exist: starting from the pinned smoke specs, mutation reaches at
 // least one planner feature the seeds alone never hit. The run is fully
